@@ -223,9 +223,13 @@ def _parse_probs(spec: str) -> np.ndarray:
 
 
 def _parse_m(text: str) -> int:
-    value = float(text)
-    if not value >= 1 or value != int(value):
-        raise ValueError(f"m must be a positive integer, got {text}")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    # isfinite first: int() of an infinity raises OverflowError, not ValueError.
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ValueError(f"--m must be a positive integer, got {text}")
     return int(value)
 
 

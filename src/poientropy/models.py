@@ -16,10 +16,12 @@ closed-form Chen-Stein coefficients
     b2  = n 2^(2-n) C(n-1, k) C(n-1, k-1)
     b3  = 0   (edges outside a vertex's neighbourhood are irrelevant to it)
 
-with index-set size m = 2^n.  A direct Monte Carlo simulator (n <= 20)
-validates the closed-form mean and the k <-> n-k symmetry; at simulable
-sizes the entropy-certificate hypothesis a(lam) <= 1/2 generally fails, so
-the simulator deliberately does not "check" the bound itself.
+with index-set size m = 2^n.  A bit-sliced Monte Carlo simulator (n <= 16)
+validates the closed-form mean and the k <-> n-k symmetry.  It checks no
+certificate itself, but theorem 4's hypotheses do hold at simulable sizes
+for k near 0 or n: entropy_bound_general certifies (n, k) = (12, 11) with
+eps = 1.04 nats, (14, 13) with 0.420, (14, 12) with 2.70 and (16, 15) with
+0.159, so a simulated plug-in entropy can be held against the certificate.
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ _LN2 = math.log(2.0)
 # bit-identical no matter how many threads process the chunks.
 _MC_CHUNK = 4096
 
-MC_MAX_DIMENSION = 20
+# A chunk holds n 2^(n-1) coin words per 64 replicates (268 MB at n = 16),
+# then as many bytes again to unpack the per-vertex matches; its peak RSS is
+# about 0.55 GB at n = 16, and the same arithmetic puts n = 17 past 1 GiB.
+# Each thread runs its own chunk.
+MC_MAX_DIMENSION = 16
 
 
 def arithmetic_moments(a: float, n: int) -> MomentSummary:
@@ -135,29 +141,59 @@ class MonteCarloResult:
 
 def _edge_tables(n: int):
     # For dimension d, canonical edge endpoints are vertices with bit d = 0;
-    # the edge index is the vertex index with bit d squeezed out.
+    # the edge index is the vertex index with bit d squeezed out.  The mask
+    # is all ones where bit d of the vertex is set, all zeros elsewhere.
     size = 1 << n
     v = np.arange(size, dtype=np.int64)
     eidx = np.empty((n, size), dtype=np.int64)
-    vbit = np.empty((n, size), dtype=np.uint8)
+    vmask = np.empty((n, size, 1), dtype=np.int64)
     for d in range(n):
         low = v & ((1 << d) - 1)
         high = v >> (d + 1)
         eidx[d] = low | (high << d)
-        vbit[d] = ((v >> d) & 1).astype(np.uint8)
-    return eidx, vbit
+        vmask[d, :, 0] = -((v >> d) & 1)
+    return eidx, vmask.view(np.uint64)
 
 
-def _mc_chunk_counts(n, k, eidx, vbit, chunk_size, seed_seq):
+def _mc_chunk_counts(n, k, eidx, vmask, chunk_size, seed_seq):
+    # Bit-sliced: bit j of every uint64 word belongs to replicate 64 * lane + j,
+    # so each word operation below advances 64 replicates at once.
     rng = np.random.default_rng(seed_seq)
     size = 1 << n
-    bits = rng.integers(0, 2, size=(chunk_size, n, 1 << (n - 1)), dtype=np.uint8)
-    outdeg = np.zeros((chunk_size, size), dtype=np.int16)
+    lanes = -(-chunk_size // 64)
+    # Raw 64-bit generator outputs (the words rng.bytes would give, read as
+    # little-endian uint64): one fair coin per bit, one word per edge and lane.
+    coins = rng.integers(0, 1 << 64, size=(n, size >> 1, lanes), dtype=np.uint64)
+    # Outdegree of every vertex as n.bit_length() bit-planes, least significant
+    # first; after d + 1 dimensions only (d + 1).bit_length() planes are live.
+    planes = np.zeros((n.bit_length(), size, lanes), dtype=np.uint64)
+    # Two scratch words per (vertex, lane), reused so that no dimension
+    # allocates (fresh pages cost more than the word operations here).
+    carry, spill = np.empty((2, size, lanes), dtype=np.uint64)
     for d in range(n):
         # Orientation bit XOR endpoint bit = "points outward from this vertex".
-        outdeg += bits[:, d, eidx[d]] ^ vbit[d][np.newaxis, :]
-    w = np.count_nonzero(outdeg == k, axis=1)
-    return np.bincount(w, minlength=size + 1).astype(np.int64)
+        # Indices are in range; mode="clip" only skips the buffered copy that
+        # the default mode makes when given out=.
+        np.take(coins[d], eidx[d], axis=0, out=carry, mode="clip")
+        carry ^= vmask[d]
+        for plane in planes[: (d + 1).bit_length()]:
+            np.bitwise_and(plane, carry, out=spill)
+            plane ^= carry
+            carry, spill = spill, carry
+    # The unpacked match below takes 16/n times the coins' bytes; free those
+    # first so that the two never coexist (this sets MC_MAX_DIMENSION).
+    del coins, carry, spill
+    # A vertex matches when every outdegree bit equals the same bit of k.
+    for j, plane in enumerate(planes):
+        if not (k >> j) & 1:
+            np.invert(plane, out=plane)
+    match = np.bitwise_and.reduce(planes, axis=0)
+    # W <= 2^n per replicate, so the narrowest dtype holding 2^n cannot wrap.
+    w = np.unpackbits(match.view(np.uint8), axis=1, bitorder="little").sum(
+        axis=0, dtype=np.min_scalar_type(size)
+    )
+    # Bits past chunk_size pad the last lane; they are not replicates.
+    return np.bincount(w[:chunk_size], minlength=size + 1).astype(np.int64)
 
 
 def hypercube_monte_carlo(
@@ -173,6 +209,9 @@ def hypercube_monte_carlo(
     vertices with exactly k outward edges.  Replicates are processed in
     fixed-size chunks whose RNG streams derive from (master_seed,
     chunk_index), so the result is bit-identical for any ``threads`` value.
+    Within a chunk the simulation is bit-sliced: bit j of each uint64 word
+    is replicate j of its 64-replicate lane, and outdegrees are kept as
+    bit-planes updated by word-wide ripple-carry addition.
     Returns the empirical mean with its standard error, the empirical pmf,
     and the plug-in entropy with a jackknife standard error (plug-in bias is
     not quantified).
@@ -180,8 +219,8 @@ def hypercube_monte_carlo(
     n, k = int(n), int(k)
     if not 1 <= n <= MC_MAX_DIMENSION:
         raise ValueError(
-            f"simulation materialises 2^n vertices; need 1 <= n <= "
-            f"{MC_MAX_DIMENSION}, got {n}"
+            f"simulation materialises 2^n vertices (n 2^(n-1) coin words per "
+            f"64 replicates); need 1 <= n <= {MC_MAX_DIMENSION}, got {n}"
         )
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..n, got k={k}, n={n}")
@@ -190,7 +229,7 @@ def hypercube_monte_carlo(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
-    eidx, vbit = _edge_tables(n)
+    eidx, vmask = _edge_tables(n)
     n_chunks = (replicates + _MC_CHUNK - 1) // _MC_CHUNK
     sizes = [
         min(_MC_CHUNK, replicates - i * _MC_CHUNK) for i in range(n_chunks)
@@ -201,7 +240,7 @@ def hypercube_monte_carlo(
     ]
 
     def run(i):
-        return _mc_chunk_counts(n, k, eidx, vbit, sizes[i], seqs[i])
+        return _mc_chunk_counts(n, k, eidx, vmask, sizes[i], seqs[i])
 
     if threads == 1:
         partials = [run(i) for i in range(n_chunks)]
@@ -231,9 +270,10 @@ def hypercube_monte_carlo(
         entropy_jackknife_se=jack_se,
         lam_closed_form=float(math.comb(n, k)),
         note=(
-            "simulation validates the closed-form mean and symmetry; the "
-            "entropy-bound hypothesis a(lambda) <= 1/2 generally fails at "
-            "simulable sizes, so no certificate is checked here"
+            "simulation validates the closed-form mean and symmetry and checks "
+            "no certificate; theorem 4's hypothesis a(lambda) <= 1/2 holds "
+            "only for k near 0 or n (e.g. n = 14, k = 13: eps = 0.42 nats), "
+            "where entropy_plugin can be compared with entropy_bound_general"
         ),
     )
 

@@ -104,6 +104,15 @@ class TestEntropyBoundCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("m", ["1e400", "inf", "nan", "2.5", "0", "abc"])
+    def test_bad_m_is_input_error_naming_the_field(self, capsys, m):
+        code, _, err = run_cli(
+            capsys, "entropy-bound", "--independent", "--lambda", "2",
+            "--sum-p2", "0.1", "--m", m,
+        )
+        assert code == 2
+        assert "--m" in err
+
     def test_spec_file_input(self, capsys, tmp_path):
         doc = {
             "m": 2,
@@ -243,6 +252,14 @@ class TestHypercubeCommand:
         doc = json.loads(out)
         mean = float(doc["results"]["simulation"]["mean_w"]["value"])
         assert mean == pytest.approx(1.0, abs=0.05)
+
+    def test_simulation_above_dimension_limit_is_input_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "hypercube", "--n", "17", "--k", "16", "--simulate",
+            "--replicates", "10",
+        )
+        assert code == 2
+        assert "2^n" in err
 
 
 class TestReproductionCommands:

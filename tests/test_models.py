@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from poientropy.bounds import entropy_bound_general
 from poientropy.models import (
+    MC_MAX_DIMENSION,
+    _edge_tables,
+    _mc_chunk_counts,
     arithmetic_moments,
     hypercube_coefficients,
     hypercube_monte_carlo,
@@ -16,6 +21,28 @@ from poientropy.models import (
 # Independent mpmath recomputation of the first arithmetic-system case.
 EX1_COROLLARY_EPS = 0.5878672480574357
 EX1_PROPOSITION_EPS = 0.2047351801396994
+
+
+def _reference_chunk_counts(n, k, chunk_size, seed_seq):
+    """One chunk replicate by replicate, with integer outdegrees.
+
+    Reads the same coin words as the bit-sliced kernel (bit j of lane l is
+    replicate 64 l + j) but counts each vertex's outward edges directly.
+    """
+    lanes = -(-chunk_size // 64)
+    coins = np.random.default_rng(seed_seq).integers(
+        0, 1 << 64, size=(n, 1 << (n - 1), lanes), dtype=np.uint64
+    )
+    bits = np.unpackbits(coins.view(np.uint8), axis=2, bitorder="little")
+    bits = bits[:, :, :chunk_size].astype(np.int64)
+    w = np.zeros(chunk_size, dtype=np.int64)
+    for v in range(1 << n):
+        outdeg = np.zeros(chunk_size, dtype=np.int64)
+        for d in range(n):
+            edge = (v & ((1 << d) - 1)) | ((v >> (d + 1)) << d)
+            outdeg += bits[d, edge] ^ ((v >> d) & 1)
+        w += outdeg == k
+    return np.bincount(w, minlength=(1 << n) + 1)
 
 
 class TestArithmeticMoments:
@@ -122,6 +149,48 @@ class TestHypercubeMonteCarlo:
         serial = hypercube_monte_carlo(6, 3, 50_000, master_seed=42, threads=1)
         threaded = hypercube_monte_carlo(6, 3, 50_000, master_seed=42, threads=4)
         assert np.array_equal(serial.counts, threaded.counts)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("chunk_size", [1, 100, 4096])
+    def test_bit_sliced_chunk_matches_per_replicate_reference(self, n, chunk_size):
+        eidx, vmask = _edge_tables(n)
+        for k in range(n + 1):
+            seq = np.random.SeedSequence(11, spawn_key=(k,))
+            got = _mc_chunk_counts(n, k, eidx, vmask, chunk_size, seq)
+            assert np.array_equal(got, _reference_chunk_counts(n, k, chunk_size, seq))
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (6, 3), (6, 6)])
+    @pytest.mark.parametrize("replicates", [100, 5000])
+    def test_ragged_tail_drops_padding_bits(self, n, k, replicates):
+        # Neither count is a multiple of 64 or of the 4096-replicate chunk.
+        serial = hypercube_monte_carlo(n, k, replicates, master_seed=3, threads=1)
+        threaded = hypercube_monte_carlo(n, k, replicates, master_seed=3, threads=3)
+        assert int(serial.counts.sum()) == replicates
+        assert np.array_equal(serial.counts, threaded.counts)
+
+    def test_plugin_entropy_inside_dependent_certificate(self):
+        # (14, 13) has b2 > 0 and meets theorem 4's hypotheses, eps = 0.42
+        # nats: the plug-in entropy of W must land in [H(Z) - eps, H(Z) + eps]
+        # up to 4 jackknife standard errors.
+        coeffs = hypercube_coefficients(14, 13)
+        assert coeffs.b2.to_float() > 0.0
+        report = entropy_bound_general(coeffs)
+        h_z, eps = report.h_poisson.nats, report.epsilon
+        assert eps == pytest.approx(0.420, abs=1e-3)
+        mc = hypercube_monte_carlo(14, 13, 16_384, master_seed=2012)
+        slack = eps + 4.0 * mc.entropy_jackknife_se
+        assert h_z - slack <= mc.entropy_plugin <= h_z + slack
+
+    def test_dimension_limit_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2\\^n"):
+                hypercube_monte_carlo(MC_MAX_DIMENSION + 1, 2, 4096, master_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert MC_MAX_DIMENSION == 16
+        assert peak < 1 << 20
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2\\^n"):
