@@ -126,28 +126,30 @@ class ConditionCheck:
     satisfied: bool
 
 
-class ConditionViolated(ValueError):
+class _FailedChecks(ValueError):
+    """Base of the refusals: keeps ``checks`` and lists the failed ones."""
+
+    headline = ""
+
+    def __init__(self, checks: Sequence[ConditionCheck]):
+        self.checks = list(checks)
+        failed = [c for c in self.checks if not c.satisfied]
+        detail = "; ".join(
+            f"{c.name} <= {c.required:g} violated (actual {c.actual:g})" for c in failed
+        )
+        super().__init__(f"{self.headline}: {detail}")
+
+
+class ConditionViolated(_FailedChecks):
     """A bound's hypothesis fails; the bound is inapplicable, not clamped."""
 
-    def __init__(self, checks: Sequence[ConditionCheck]):
-        self.checks = list(checks)
-        failed = [c for c in self.checks if not c.satisfied]
-        detail = "; ".join(
-            f"{c.name} <= {c.required:g} violated (actual {c.actual:g})" for c in failed
-        )
-        super().__init__(f"condition violated: {detail}")
+    headline = "condition violated"
 
 
-class NoApplicableBound(ValueError):
+class NoApplicableBound(_FailedChecks):
     """Neither independent-case bound applies to the given moments."""
 
-    def __init__(self, checks: Sequence[ConditionCheck]):
-        self.checks = list(checks)
-        failed = [c for c in self.checks if not c.satisfied]
-        detail = "; ".join(
-            f"{c.name} <= {c.required:g} violated (actual {c.actual:g})" for c in failed
-        )
-        super().__init__(f"no applicable bound: {detail}")
+    headline = "no applicable bound"
 
 
 @dataclass(frozen=True)
@@ -427,17 +429,19 @@ def best_independent_bound(
     """The smaller of the two independent-case certificates that apply.
 
     Ties go to the plain bound (the sharpened coefficient reduces to it when
-    its min saturates).  Raises :class:`NoApplicableBound` listing every
-    failed hypothesis if neither rule applies.
+    its min saturates).  Raises :class:`NoApplicableBound` listing the
+    checks of both rules if neither applies; a check the two rules share
+    is listed once.
     """
     candidates = []
-    failed_checks = []
+    checks = {}
     for fn in (entropy_bound_independent, entropy_bound_independent_sharp):
         try:
             candidates.append(fn(moments, tol=tol))
         except ConditionViolated as exc:
-            failed_checks.extend(exc.checks)
+            for check in exc.checks:
+                checks.setdefault((check.name, check.required, check.actual), check)
     if not candidates:
-        raise NoApplicableBound(failed_checks)
+        raise NoApplicableBound(checks.values())
     best = min(candidates, key=lambda r: (r.epsilon, r.theorem_id != RULE_INDEPENDENT))
     return best

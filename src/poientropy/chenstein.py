@@ -25,9 +25,13 @@ tables use the un-halved convention and differ by a factor of 2.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
+
+import numpy as np
 
 from .exact import BernoulliSystem
 from .logspace import LogScalar, log1mexp, log_sum_exp
@@ -49,88 +53,252 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DependencySpec:
     """Marginals, neighbourhoods and pair moments for a dependent system.
 
-    ``pair_expectations`` maps ordered index pairs (a, b) with b in
-    B_a \\ {a} to p_ab = E[X_a X_b]; since that moment is symmetric, each
-    unordered pair may be supplied once and is mirrored automatically.
-    ``b3_terms`` is either a sequence of the long-range terms s_a >= 0 or
-    the literal string "zero" asserting the structural claim b3 = 0 (valid
-    when indicators are independent of everything outside their
-    neighbourhood).  Computing s_a in general needs model-specific
-    reasoning, so it is always caller-supplied.
+    ``pair_expectations`` gives p_ab = E[X_a X_b] for ordered index pairs
+    (a, b) with b in B_a \\ {a}, either as a mapping {(a, b): p_ab} or as
+    [a, b, p_ab] triples; since that moment is symmetric, each unordered
+    pair may be supplied once and is mirrored automatically.  ``b3_terms``
+    is either a sequence of the long-range terms s_a >= 0 or the literal
+    string "zero" asserting the structural claim b3 = 0 (valid when
+    indicators are independent of everything outside their neighbourhood).
+    Computing s_a in general needs model-specific reasoning, so it is always
+    caller-supplied.
+
+    The spec is validated and stored once, as read-only CSR arrays:
+    ``marginals`` (float64, length m); ``indptr`` and ``indices``, where
+    ``indices[indptr[a]:indptr[a + 1]]`` is B_a sorted and without repeats;
+    and ``pair_moments``, p_ab for each off-diagonal CSR entry (0.0 on the
+    diagonal ones).  ``neighborhoods`` and ``pair_expectations`` are views
+    derived from these arrays.
     """
 
     m: int
-    marginals: tuple
-    neighborhoods: tuple
-    pair_expectations: Mapping
-    b3_terms: Union[tuple, str]
+    marginals: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    pair_moments: np.ndarray
+    b3_terms: Union[np.ndarray, str]
 
     def __init__(self, m, marginals, neighborhoods, pair_expectations, b3_terms):
-        m = int(m)
+        m = _as_int(m, "index set size m")
         if m < 1:
             raise ValueError(f"index set size m must be >= 1, got {m}")
-        marginals = tuple(float(p) for p in marginals)
-        if len(marginals) != m:
-            raise ValueError(f"expected {m} marginals, got {len(marginals)}")
-        for a, p in enumerate(marginals):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"marginal p_{a}={p} must lie in (0, 1]")
+        p = _float_array(marginals, "marginals")
+        if p.size != m:
+            raise ValueError(f"expected {m} marginals, got {p.size}")
+        bad = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))
+        if bad.size:
+            a = int(bad[0])
+            raise ValueError(f"marginal p_{a}={float(p[a])} must lie in (0, 1]")
 
-        hoods = []
-        for a in range(m):
-            try:
-                hood = frozenset(int(b) for b in neighborhoods[a])
-            except (KeyError, IndexError):
-                raise ValueError(f"missing neighbourhood for index {a}") from None
-            if a not in hood:
-                raise ValueError(f"neighbourhood B_{a} must contain {a} itself")
-            if any(b < 0 or b >= m for b in hood):
-                raise ValueError(f"neighbourhood B_{a} has out-of-range indices")
-            hoods.append(hood)
-
-        pairs = {}
-        for (a, b), value in dict(pair_expectations).items():
-            a, b, value = int(a), int(b), float(value)
-            if a == b:
-                raise ValueError(f"pair expectation given for diagonal ({a},{a})")
-            cap = min(marginals[a], marginals[b])
-            if not 0.0 <= value <= cap + 1e-15:
-                raise ValueError(
-                    f"p_({a},{b})={value} must lie in [0, min(p_a, p_b)={cap}]"
-                )
-            for key in ((a, b), (b, a)):
-                if key in pairs and pairs[key] != value:
-                    raise ValueError(f"conflicting values for pair expectation {key}")
-                pairs[key] = value
-        for a in range(m):
-            for b in hoods[a]:
-                if b != a and (a, b) not in pairs:
-                    raise ValueError(
-                        f"missing pair_expectation for declared neighbour pair ({a},{b})"
-                    )
+        indptr, indices = _neighbourhood_csr(neighborhoods, m)
+        moments = _pair_moments(pair_expectations, p, indptr, indices)
 
         if isinstance(b3_terms, str):
             if b3_terms != "zero":
                 raise ValueError(
                     "b3_terms must be a sequence of s_a values or the literal 'zero'"
                 )
-            b3_norm: Union[tuple, str] = "zero"
+            b3 = "zero"
         else:
-            b3_norm = tuple(float(s) for s in b3_terms)
-            if len(b3_norm) != m:
-                raise ValueError(f"expected {m} b3 terms, got {len(b3_norm)}")
-            if any(s < 0.0 for s in b3_norm):
-                raise ValueError("b3 terms s_a must be >= 0")
+            b3 = _float_array(b3_terms, "b3_terms")
+            if b3.size != m:
+                raise ValueError(f"expected {m} b3 terms, got {b3.size}")
+            if not np.all(np.isfinite(b3) & (b3 >= 0.0)):
+                raise ValueError("b3 terms s_a must be finite and >= 0")
 
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "marginals", marginals)
-        object.__setattr__(self, "neighborhoods", tuple(hoods))
-        object.__setattr__(self, "pair_expectations", pairs)
-        object.__setattr__(self, "b3_terms", b3_norm)
+        for name, value in (
+            ("m", m), ("marginals", p), ("indptr", indptr), ("indices", indices),
+            ("pair_moments", moments), ("b3_terms", b3),
+        ):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def neighborhoods(self) -> tuple:
+        """B_a for each index a, as frozensets."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(frozenset(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    @property
+    def pair_expectations(self) -> Mapping:
+        """Read-only {(a, b): p_ab} over every b in B_a \\ {a}."""
+        return _PairExpectations(self)
+
+
+class _PairExpectations(Mapping):
+    def __init__(self, spec: DependencySpec):
+        self._spec = spec
+
+    def __getitem__(self, key):
+        spec = self._spec
+        try:
+            a, b = (int(i) for i in key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if a == b or not (0 <= a < spec.m and 0 <= b < spec.m):
+            raise KeyError(key)
+        lo, hi = int(spec.indptr[a]), int(spec.indptr[a + 1])
+        j = lo + int(np.searchsorted(spec.indices[lo:hi], b))
+        if j == hi or spec.indices[j] != b:
+            raise KeyError(key)
+        return float(spec.pair_moments[j])
+
+    def __iter__(self):
+        rows, cols = _csr_rows(self._spec.indptr), self._spec.indices
+        off = rows != cols
+        return zip(rows[off].tolist(), cols[off].tolist())
+
+    def __len__(self):
+        # Every row holds its own index exactly once.
+        return int(self._spec.indices.size - self._spec.m)
+
+
+def _csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row index of every CSR entry."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
+def _as_int(raw, name: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _float_array(raw, name: str) -> np.ndarray:
+    try:
+        values = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is None or values.ndim != 1:
+        raise ValueError(f"{name} must be a list of numbers")
+    return values
+
+
+def _neighbourhood_csr(neighborhoods, m: int) -> tuple:
+    """(indptr, indices) of the neighbourhoods, each row sorted and deduplicated."""
+    rows = []
+    try:
+        for a in range(m):
+            rows.append(neighborhoods[a])
+    except (KeyError, IndexError, TypeError):
+        raise ValueError(f"missing neighbourhood for index {a}") from None
+    try:
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=m)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum())
+        )
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("each neighbourhood must be a list of integer indices") from None
+
+    owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
+    has_self = np.zeros(m, dtype=bool)
+    has_self[owner[flat == owner]] = True
+    lacking = np.flatnonzero(~has_self)[:1]
+    stray = owner[(flat < 0) | (flat >= m)][:1]
+    if lacking.size or stray.size:
+        a = int(np.concatenate([lacking, stray]).min())
+        if not has_self[a]:
+            raise ValueError(f"neighbourhood B_{a} must contain {a} itself")
+        raise ValueError(f"neighbourhood B_{a} has out-of-range indices")
+
+    keys = np.sort(owner * m + flat)
+    owner, flat = np.divmod(keys[_first_of_runs(keys)], m)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=m), out=indptr[1:])
+    return indptr, flat
+
+
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """True at the first entry of each run of equal keys."""
+    first = np.ones(sorted_keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return first
+
+
+def _pair_table(pairs) -> np.ndarray:
+    """A (k, 3) float array of [a, b, p_ab] rows from a mapping or triples."""
+    if isinstance(pairs, Mapping):
+        try:
+            pairs = [(*key, value) for key, value in pairs.items()]
+        except TypeError:
+            raise ValueError("pair_expectations keys must be (a, b) index pairs") from None
+    try:
+        if set(map(len, pairs)) <= {3}:
+            flat = itertools.chain.from_iterable(pairs)
+            return np.fromiter(flat, dtype=np.float64, count=3 * len(pairs)).reshape(-1, 3)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for entry in pairs if isinstance(pairs, (list, tuple)) else ():
+        try:
+            np.fromiter(entry, dtype=np.float64, count=3)
+            ok = len(entry) == 3
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"pair_expectations entries must be [a, b, value], got {entry}")
+    raise ValueError("pair_expectations must be a list of [a, b, value] entries")
+
+
+def _pair_moments(pairs, p: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """p_ab for each off-diagonal CSR entry (0.0 on the diagonal), validated.
+
+    Each supplied pair is keyed by min(a, b) m + max(a, b), which mirrors it;
+    every off-diagonal entry is looked up among the sorted keys.
+    """
+    m = p.size
+    a_raw, b_raw, value = _pair_table(pairs).T
+    inside = (a_raw >= 0) & (a_raw < m) & (b_raw >= 0) & (b_raw < m)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(
+            f"pair expectation ({a_raw[i]:g},{b_raw[i]:g}) has out-of-range indices"
+        )
+    a, b = a_raw.astype(np.int64), b_raw.astype(np.int64)
+    diagonal = np.flatnonzero(a == b)
+    if diagonal.size:
+        i = int(diagonal[0])
+        raise ValueError(f"pair expectation given for diagonal ({a[i]},{a[i]})")
+    cap = np.minimum(p[a], p[b])
+    outside = np.flatnonzero(~((value >= 0.0) & (value <= cap + 1e-15)))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(
+            f"p_({a[i]},{b[i]})={float(value[i])} must lie in "
+            f"[0, min(p_a, p_b)={float(cap[i])}]"
+        )
+
+    keys = np.minimum(a, b) * m + np.maximum(a, b)
+    order = np.argsort(keys, kind="stable")
+    keys, value = keys[order], value[order]
+    first = _first_of_runs(keys)
+    clash = np.flatnonzero(~first[1:] & (value[1:] != value[:-1]))
+    if clash.size:
+        lo, hi = divmod(int(keys[clash[0] + 1]), m)
+        raise ValueError(f"conflicting values for pair expectation {(lo, hi)}")
+    keys, value = keys[first], value[first]
+
+    owner = _csr_rows(indptr)
+    off = owner != indices
+    rows, cols = owner[off], indices[off]
+    wanted = np.minimum(rows, cols) * m + np.maximum(rows, cols)
+    keys = np.append(keys, np.iinfo(np.int64).max)  # a sentinel above every key
+    at = np.searchsorted(keys, wanted)
+    found = keys[at] == wanted
+    if not found.all():
+        i = int(np.flatnonzero(~found)[0])
+        raise ValueError(
+            f"missing pair_expectation for declared neighbour pair ({rows[i]},{cols[i]})"
+        )
+    moments = np.zeros(indices.size)
+    moments[off] = value[at]
+    return moments
 
 
 def dependency_spec_from_dict(doc: Mapping) -> DependencySpec:
@@ -139,23 +307,20 @@ def dependency_spec_from_dict(doc: Mapping) -> DependencySpec:
     Expected fields: ``m`` (int), ``marginals`` (list, or map of 0-based
     index to probability), ``neighborhoods`` (same keying, values are index
     lists), ``pair_expectations`` (list of [a, b, value] triples) and ``b3``
-    (list of s_a values or the string "zero").
+    (list of s_a values or the string "zero").  Every malformed document
+    raises ValueError.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError("dependency spec document must be a JSON object")
     try:
-        m = int(doc["m"])
+        m = _as_int(doc["m"], "m")
         marginals = _indexed_field(doc["marginals"], m, "marginals")
         neighborhoods = _indexed_field(doc["neighborhoods"], m, "neighborhoods")
         triples = doc["pair_expectations"]
         b3 = doc["b3"]
     except KeyError as exc:
         raise ValueError(f"dependency spec document missing field {exc}") from None
-    pairs = {}
-    for entry in triples:
-        if len(entry) != 3:
-            raise ValueError(f"pair_expectations entries must be [a, b, value], got {entry}")
-        a, b, value = entry
-        pairs[(int(a), int(b))] = float(value)
-    return DependencySpec(m, marginals, neighborhoods, pairs, b3)
+    return DependencySpec(m, marginals, neighborhoods, triples, b3)
 
 
 def _indexed_field(raw, m: int, name: str) -> list:
@@ -170,7 +335,9 @@ def _indexed_field(raw, m: int, name: str) -> list:
             else:
                 raise ValueError(f"{name} is missing index {a}")
         return out
-    return list(raw)
+    if not isinstance(raw, list):
+        raise ValueError(f"{name} must be a list or an index map")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -231,25 +398,36 @@ class ChenSteinCoefficients:
         return log_m + math.log1p(2.0 * math.exp(-log_m))
 
 
+def _log_sum(log_terms: np.ndarray) -> LogScalar:
+    """The sum of e^x over ``log_terms`` as a LogScalar (-inf terms add 0).
+
+    The terms are shifted by their maximum and added with math.fsum, so a
+    term whose exponential underflows a float still counts.
+    """
+    hi = float(log_terms.max()) if log_terms.size else -math.inf
+    if hi == -math.inf:
+        return LogScalar.zero()
+    # fsum reads a memoryview of the float64 buffer without making numpy scalars.
+    return LogScalar.from_log(hi + math.log(math.fsum(memoryview(np.exp(log_terms - hi)))))
+
+
 def coefficients_from_spec(spec: DependencySpec) -> ChenSteinCoefficients:
-    """Evaluate the b1/b2/b3 double sums of a materialised dependency spec."""
-    b1 = LogScalar.zero()
-    b2 = LogScalar.zero()
-    lam = LogScalar.zero()
-    for a in range(spec.m):
-        p_a = LogScalar.from_float(spec.marginals[a])
-        lam = lam + p_a
-        for b in spec.neighborhoods[a]:
-            b1 = b1 + p_a * LogScalar.from_float(spec.marginals[b])
-            if b != a:
-                b2 = b2 + LogScalar.from_float(spec.pair_expectations[(a, b)])
-    if spec.b3_terms == "zero":
+    """Evaluate the b1/b2/b3 double sums of a materialised dependency spec.
+
+    Each sum is one log-sum-exp over the spec's arrays: b1 over
+    ln p_a + ln p_b for every CSR entry, b2 over the positive pair moments,
+    lam and b3 over their own terms.
+    """
+    log_p = np.log(spec.marginals)
+    b1 = _log_sum(np.repeat(log_p, np.diff(spec.indptr)) + log_p[spec.indices])
+    moments = spec.pair_moments
+    b2 = _log_sum(np.log(moments[moments > 0.0]))
+    if isinstance(spec.b3_terms, str):
         b3 = LogScalar.zero()
     else:
-        b3 = LogScalar.zero()
-        for s in spec.b3_terms:
-            b3 = b3 + LogScalar.from_float(s)
-    return ChenSteinCoefficients(b1=b1, b2=b2, b3=b3, lam=lam, m=spec.m)
+        s = spec.b3_terms
+        b3 = _log_sum(np.log(s[s > 0.0]))
+    return ChenSteinCoefficients(b1=b1, b2=b2, b3=b3, lam=_log_sum(log_p), m=spec.m)
 
 
 def coefficients_independent(system) -> ChenSteinCoefficients:

@@ -8,12 +8,14 @@ companion field so underflowed certificates stay meaningful.  Entropy
 fields are nats unless ``--bits`` asks for a display-time conversion.
 
 Exit codes: 0 success, 2 usage or input error, 3 a bound's hypothesis
-failed (the inequality and its actual value are printed).
+failed (the inequality and its actual value are printed), 1 when the
+reader closes stdout before the document is written (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,8 +35,8 @@ from .bounds import (
 )
 from .chenstein import (
     ChenSteinCoefficients,
+    DependencySpec,
     coefficients_from_spec,
-    coefficients_independent,
     dependency_spec_from_dict,
     tv_bound_report,
 )
@@ -233,17 +235,42 @@ def _parse_m(text: str) -> int:
     return int(value)
 
 
-def _load_spec_coefficients(path: str) -> ChenSteinCoefficients:
+def _load_spec(path: str) -> DependencySpec:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    return coefficients_from_spec(dependency_spec_from_dict(doc))
+    return dependency_spec_from_dict(doc)
+
+
+# The --coeffs fields in order, each with its lower limit and whether the
+# limit itself is allowed.
+_COEFF_FIELDS = (
+    ("b1", 0.0, True),
+    ("b2", 0.0, True),
+    ("b3", 0.0, True),
+    ("lambda", 0.0, False),
+    ("log2m", 1.0, True),
+)
 
 
 def _parse_coeffs(text: str) -> ChenSteinCoefficients:
-    parts = [float(tok) for tok in text.split(",")]
-    if len(parts) != 5:
-        raise ValueError("--coeffs expects b1,b2,b3,lambda,log2m")
-    b1, b2, b3, lam, log2m = parts
+    tokens = text.split(",")
+    if len(tokens) != len(_COEFF_FIELDS):
+        raise ValueError(
+            f"--coeffs expects 5 values b1,b2,b3,lambda,log2m, got {len(tokens)}"
+        )
+    values = []
+    for (name, limit, closed), token in zip(_COEFF_FIELDS, tokens):
+        try:
+            value = float(token)
+        except ValueError:
+            raise ValueError(f"--coeffs field {name} is not a number: {token!r}") from None
+        if not (math.isfinite(value) and (value >= limit if closed else value > limit)):
+            raise ValueError(
+                f"--coeffs field {name} must be finite and "
+                f"{'>=' if closed else '>'} {limit:g}, got {token.strip()}"
+            )
+        values.append(value)
+    b1, b2, b3, lam, log2m = values
     return ChenSteinCoefficients(
         b1=LogScalar.from_float(b1),
         b2=LogScalar.from_float(b2),
@@ -253,8 +280,23 @@ def _parse_coeffs(text: str) -> ChenSteinCoefficients:
     )
 
 
+def _moment_coefficients(moments: MomentSummary) -> ChenSteinCoefficients:
+    """Theorem 4 coefficients of independent summands: b1 = sum p^2, b2 = b3 = 0."""
+    return ChenSteinCoefficients(
+        b1=LogScalar.from_float(moments.sum_p_squared),
+        b2=LogScalar.zero(),
+        b3=LogScalar.zero(),
+        lam=LogScalar.from_float(moments.lam),
+        m=moments.m,
+    )
+
+
 def _bound_inputs(args):
-    """Resolve the three mutually exclusive entropy-bound input sources."""
+    """Resolve the three mutually exclusive entropy-bound input sources.
+
+    Returns (moments, coeffs, spec): the moment summary for --independent,
+    else the coefficients, plus the parsed spec for --spec.
+    """
     sources = [args.independent, args.spec is not None, args.coeffs is not None]
     if sum(sources) != 1:
         raise ValueError(
@@ -266,10 +308,11 @@ def _bound_inputs(args):
         moments = MomentSummary(
             lam=args.lam, sum_p_squared=args.sum_p2, m=_parse_m(args.m)
         )
-        return moments, None
+        return moments, None, None
     if args.spec is not None:
-        return None, _load_spec_coefficients(args.spec)
-    return None, _parse_coeffs(args.coeffs)
+        spec = _load_spec(args.spec)
+        return None, coefficients_from_spec(spec), spec
+    return None, _parse_coeffs(args.coeffs), None
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +344,7 @@ def _cmd_poisson_entropy(args):
 
 
 def _cmd_entropy_bound(args):
-    moments, coeffs = _bound_inputs(args)
+    moments, coeffs, _ = _bound_inputs(args)
     rule = args.rule
     if moments is None:
         if rule not in (None, "theorem4"):
@@ -313,16 +356,7 @@ def _cmd_entropy_bound(args):
     else:
         rule = rule or "best"
         if rule == "theorem4":
-            report = entropy_bound_general(
-                ChenSteinCoefficients(
-                    b1=LogScalar.from_float(moments.sum_p_squared),
-                    b2=LogScalar.zero(),
-                    b3=LogScalar.zero(),
-                    lam=LogScalar.from_float(moments.lam),
-                    m=moments.m,
-                ),
-                tol=args.tol,
-            )
+            report = entropy_bound_general(_moment_coefficients(moments), tol=args.tol)
         elif rule == "corollary":
             report = entropy_bound_independent(moments, tol=args.tol)
         elif rule == "proposition":
@@ -339,25 +373,19 @@ def _cmd_entropy_bound(args):
 
 
 def _cmd_tv_bounds(args):
-    moments, coeffs = _bound_inputs(args)
+    moments, coeffs, spec = _bound_inputs(args)
     if moments is not None:
-        coeffs = ChenSteinCoefficients(
-            b1=LogScalar.from_float(moments.sum_p_squared),
-            b2=LogScalar.zero(),
-            b3=LogScalar.zero(),
-            lam=LogScalar.from_float(moments.lam),
-            m=moments.m,
-        )
         report = tv_bound_report(
-            lam=moments.lam, sum_p_squared=moments.sum_p_squared, coeffs=coeffs
+            lam=moments.lam,
+            sum_p_squared=moments.sum_p_squared,
+            coeffs=_moment_coefficients(moments),
         )
-    elif args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = dependency_spec_from_dict(json.load(handle))
-        sum_p2 = float(sum(p * p for p in spec.marginals))
-        lam = float(sum(spec.marginals))
+    elif spec is not None:
+        p = spec.marginals
         report = tv_bound_report(
-            lam=lam, sum_p_squared=sum_p2, coeffs=coefficients_from_spec(spec)
+            lam=math.fsum(memoryview(p)),
+            sum_p_squared=math.fsum(memoryview(p * p)),
+            coeffs=coeffs,
         )
     else:
         report = tv_bound_report(coeffs=coeffs)
@@ -484,6 +512,7 @@ def _cmd_example1(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -583,13 +612,26 @@ def main(argv=None) -> int:
             "error": str(exc),
             "conditions": _condition_entries(exc.checks),
         }
-        print(_render(doc, args.format, args.bits))
-        return 3
+        return _emit(_render(doc, args.format, args.bits), 3)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"poientropy: error: {exc}", file=sys.stderr)
         return 2
-    print(_render(doc, args.format, args.bits))
-    return 0
+    return _emit(_render(doc, args.format, args.bits), 0)
+
+
+def _emit(text: str, code: int) -> int:
+    """Print ``text`` and return ``code``, or 1 if the reader has gone away."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # raise a second BrokenPipeError.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 def entry_point() -> None:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poientropy.chenstein import (
     ChenSteinCoefficients,
@@ -261,3 +263,199 @@ class TestTvBoundReport:
     def test_requires_some_input(self):
         with pytest.raises(ValueError):
             tv_bound_report()
+
+
+class TestSpecValidation:
+    def test_out_of_range_neighbour_index(self):
+        with pytest.raises(ValueError, match="out-of-range"):
+            DependencySpec(2, [0.1, 0.2], {0: [0, 2], 1: [1]}, {}, "zero")
+        with pytest.raises(ValueError, match="out-of-range"):
+            DependencySpec(2, [0.1, 0.2], {0: [0], 1: [-1, 1]}, {}, "zero")
+
+    def test_conflicting_mirrored_pair_values(self):
+        with pytest.raises(ValueError, match="conflicting"):
+            DependencySpec(
+                2, [0.1, 0.2], {0: [0, 1], 1: [0, 1]},
+                {(0, 1): 0.05, (1, 0): 0.06}, "zero",
+            )
+
+    def test_conflicting_repeated_triples(self):
+        with pytest.raises(ValueError, match="conflicting"):
+            DependencySpec(
+                2, [0.1, 0.2], [[0, 1], [0, 1]],
+                [[0, 1, 0.05], [0, 1, 0.06]], "zero",
+            )
+
+    def test_diagonal_pair(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            DependencySpec(2, [0.1, 0.2], {0: [0], 1: [1]}, {(1, 1): 0.1}, "zero")
+
+    def test_out_of_range_pair_index(self):
+        with pytest.raises(ValueError, match="out-of-range"):
+            DependencySpec(2, [0.1, 0.2], {0: [0], 1: [1]}, {(0, 5): 0.01}, "zero")
+
+    def test_repeated_neighbours_collapse(self):
+        spec = DependencySpec(
+            3, [0.1, 0.2, 0.3], {0: [1, 0, 1, 0], 1: [1], 2: [2, 2]},
+            {(0, 1): 0.05}, "zero",
+        )
+        assert spec.neighborhoods == (frozenset({0, 1}), frozenset({1}), frozenset({2}))
+        assert spec.indptr.tolist() == [0, 2, 3, 4]
+        assert spec.indices.tolist() == [0, 1, 1, 2]
+        assert dict(spec.pair_expectations) == {(0, 1): 0.05}
+        b1 = 0.1 * 0.1 + 0.1 * 0.2 + 0.2 * 0.2 + 0.3 * 0.3
+        assert coefficients_from_spec(spec).b1.to_float() == pytest.approx(b1, rel=1e-14)
+
+    def test_arrays_are_read_only(self):
+        spec = _chain_spec()
+        with pytest.raises(ValueError):
+            spec.marginals[0] = 0.5
+        with pytest.raises(AttributeError):
+            spec.m = 4
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([1, 2], "JSON object"),
+            ({"m": None, "marginals": [], "neighborhoods": [],
+              "pair_expectations": [], "b3": "zero"}, "m must be an integer"),
+            ({"m": 1, "marginals": 0.5, "neighborhoods": [[0]],
+              "pair_expectations": [], "b3": "zero"}, "marginals"),
+            ({"m": 1, "marginals": [0.5], "neighborhoods": [7],
+              "pair_expectations": [], "b3": "zero"}, "neighbourhood"),
+            ({"m": 2, "marginals": [0.5, 0.5], "neighborhoods": [[0, 1], [0, 1]],
+              "pair_expectations": [[0, 1]], "b3": "zero"}, r"\[a, b, value\]"),
+            ({"m": 1, "marginals": [0.5], "neighborhoods": [[0]],
+              "pair_expectations": 3, "b3": "zero"}, "pair_expectations"),
+            ({"m": 1, "marginals": [0.5], "neighborhoods": [[0]],
+              "pair_expectations": [], "b3": 0}, "b3_terms"),
+            ({"m": 1, "marginals": [0.5], "neighborhoods": [[0]],
+              "pair_expectations": [], "b3": [float("nan")]}, "b3 terms"),
+            ({"m": 1, "marginals": [10**400], "neighborhoods": [[0]],
+              "pair_expectations": [], "b3": "zero"}, "marginals"),
+            ({"m": 2, "marginals": [0.5, 0.5], "neighborhoods": [[0, 1], [0, 1]],
+              "pair_expectations": [[0, 1, 10**400]], "b3": "zero"}, r"\[a, b, value\]"),
+            ({"m": 1, "marginals": [0.5], "neighborhoods": [[0]],
+              "pair_expectations": [], "b3": [10**400]}, "b3_terms"),
+        ],
+    )
+    def test_malformed_documents_raise_value_error(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            dependency_spec_from_dict(doc)
+
+
+def _exact_log(x: Fraction) -> float:
+    # ln of a positive rational far outside the float range.
+    shift = x.numerator.bit_length() - x.denominator.bit_length()
+    return math.log(float(x / Fraction(2) ** shift)) + shift * math.log(2.0)
+
+
+@st.composite
+def _sparse_systems(draw):
+    """A random sparse dependency graph with consistent pair moments.
+
+    Neighbourhoods may be asymmetric and repeat entries; some marginals sit
+    near 1e-200, where p_a p_b underflows a float.
+    """
+    m = draw(st.integers(1, 9))
+    marginal = st.one_of(st.floats(1e-6, 1.0), st.floats(1e-201, 1e-199))
+    p = draw(st.lists(marginal, min_size=m, max_size=m))
+    hoods = []
+    for a in range(m):
+        others = draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+        hoods.append(draw(st.permutations([a] + others)))
+    moments = {}
+    for a in range(m):
+        for b in set(hoods[a]) - {a}:
+            key = (min(a, b), max(a, b))
+            if key not in moments:
+                share = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+                moments[key] = min(p[a], p[b]) * share
+    oriented = {}
+    for (a, b), value in moments.items():
+        oriented[(b, a) if draw(st.booleans()) else (a, b)] = value
+    b3 = draw(
+        st.one_of(
+            st.just("zero"),
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.5)), min_size=m, max_size=m),
+        )
+    )
+    return m, p, hoods, oriented, b3
+
+
+class TestVectorisedCoefficients:
+    @settings(max_examples=150, deadline=None)
+    @given(system=_sparse_systems(), as_document=st.booleans())
+    def test_matches_exact_double_sums(self, system, as_document):
+        m, p, hoods, moments, b3 = system
+        if as_document:
+            spec = dependency_spec_from_dict(
+                {
+                    "m": m,
+                    "marginals": p,
+                    "neighborhoods": hoods,
+                    "pair_expectations": [[a, b, v] for (a, b), v in moments.items()],
+                    "b3": b3,
+                }
+            )
+        else:
+            spec = DependencySpec(m, p, dict(enumerate(hoods)), moments, b3)
+        coeffs = coefficients_from_spec(spec)
+
+        exact_p = [Fraction(x) for x in p]
+        pair = {frozenset(key): Fraction(v) for key, v in moments.items()}
+        expected = {
+            "lam": sum(exact_p),
+            "b1": sum(exact_p[a] * exact_p[b] for a in range(m) for b in set(hoods[a])),
+            "b2": sum(
+                (pair[frozenset((a, b))] for a in range(m) for b in set(hoods[a]) - {a}),
+                Fraction(0),
+            ),
+            "b3": Fraction(0) if b3 == "zero" else sum(map(Fraction, b3), Fraction(0)),
+        }
+        for name, value in expected.items():
+            got = getattr(coeffs, name)
+            if value == 0:
+                assert got.sign == 0, name
+            else:
+                assert got.sign == 1, name
+                assert abs(got.logmag - _exact_log(value)) <= 1e-12, name
+        assert coeffs.m == m
+
+    def test_underflowing_products_still_count(self):
+        spec = DependencySpec(
+            2, [1e-200, 2e-200], [[0, 1], [0, 1]], {(0, 1): 1e-200}, "zero"
+        )
+        coeffs = coefficients_from_spec(spec)
+        b1 = Fraction(1e-200) ** 2 + 2 * Fraction(1e-200) * Fraction(2e-200) \
+            + Fraction(2e-200) ** 2
+        assert coeffs.b1.logmag == pytest.approx(_exact_log(b1), abs=1e-12)
+        assert coeffs.b2.logmag == pytest.approx(math.log(2e-200), abs=1e-12)
+
+    def test_moving_window_at_m_1e5(self):
+        # Head runs of length r in m + r - 1 coins of bias q: p = q^r,
+        # B_a = {b : |a - b| < r} and p_ab = q^(r + |a - b|).
+        m, r, q = 100_000, 4, 0.3
+        p = q**r
+        spec = dependency_spec_from_dict(
+            {
+                "m": m,
+                "marginals": [p] * m,
+                "neighborhoods": [
+                    list(range(max(0, a - r + 1), min(m, a + r))) for a in range(m)
+                ],
+                "pair_expectations": [
+                    [a, b, q ** (r + b - a)]
+                    for a in range(m)
+                    for b in range(a + 1, min(m, a + r))
+                ],
+                "b3": "zero",
+            }
+        )
+        coeffs = coefficients_from_spec(spec)
+        entries = m * (2 * r - 1) - r * (r - 1)
+        assert coeffs.lam.to_float() == pytest.approx(m * p, rel=1e-12)
+        assert coeffs.b1.to_float() == pytest.approx(entries * p * p, rel=1e-12)
+        b2 = 2 * sum((m - d) * q ** (r + d) for d in range(1, r))
+        assert coeffs.b2.to_float() == pytest.approx(b2, rel=1e-12)
+        assert coeffs.b3.sign == 0

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from poientropy import cli
 from poientropy.cli import main
 
 
@@ -168,8 +175,66 @@ class TestEntropyBoundCommand:
         code, _, _ = run_cli(capsys, "entropy-bound", "--spec", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "coeffs, field",
+        [
+            ("0.1,0.1,0,4060,0", "log2m"),
+            ("0.1,0.1,0,4060,0.5", "log2m"),
+            ("0.1,0.1,0,4060,inf", "log2m"),
+            ("0.1,0.1,0,nan,30", "lambda"),
+            ("0.1,0.1,0,0,30", "lambda"),
+            ("0.1,0.1,0,inf,30", "lambda"),
+            ("-0.1,0.1,0,4060,30", "b1"),
+            ("0.1,nan,0,4060,30", "b2"),
+            ("0.1,0.1,inf,4060,30", "b3"),
+            ("0.1,x,0,4060,30", "b2"),
+            ("0.1,0.1,0,4060", "5 values"),
+            ("0.1,0.1,0,4060,30,1", "5 values"),
+        ],
+    )
+    def test_bad_coeffs_name_the_field(self, capsys, coeffs, field):
+        code, _, err = run_cli(capsys, "entropy-bound", f"--coeffs={coeffs}")
+        assert code == 2
+        assert "--coeffs" in err
+        assert field in err
+
+    def test_refusal_lists_each_check_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "entropy-bound", "--independent", "--lambda", "50",
+            "--sum-p2", "40", "--m", "100", "--format", "machine",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        names = [c["name"] for c in doc["conditions"]]
+        assert sorted(names) == ["g", "lambda", "tv_factor_sum_p2"]
+        assert doc["error"].count("tv_factor_sum_p2") == 1
+
 
 class TestTvBoundsCommand:
+    def test_spec_is_loaded_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({"m": 3, "marginals": [0.1, 0.2, 0.3],
+                        "neighborhoods": [[0, 1], [0, 1, 2], [1, 2]],
+                        "pair_expectations": [[0, 1, 0.05], [1, 2, 0.1]],
+                        "b3": [0.01, 0.0, 0.02]})
+        )
+        loads = []
+        build = cli.dependency_spec_from_dict
+        monkeypatch.setattr(
+            cli, "dependency_spec_from_dict", lambda doc: loads.append(1) or build(doc)
+        )
+        code, out, _ = run_cli(
+            capsys, "tv-bounds", "--spec", str(path), "--format", "machine"
+        )
+        assert code == 0
+        assert len(loads) == 1
+        results = json.loads(out)["results"]
+        assert float(results["lecam_upper"]["value"]) == pytest.approx(0.14)
+        # (b1 + b2)(1 - e^-0.6)/0.6 + b3 with b1 = 0.3, b2 = 0.3, b3 = 0.03.
+        agg = 0.6 * -math.expm1(-0.6) / 0.6 + 0.03
+        assert float(results["agg_upper"]["value"]) == pytest.approx(agg, rel=1e-5)
+
     def test_independent_input(self, capsys):
         code, out, _ = run_cli(
             capsys, "tv-bounds", "--independent", "--lambda", "0.1",
@@ -332,6 +397,23 @@ class TestDocumentContract:
 
 
 class TestModuleInvocation:
+    def test_closed_stdout_exits_without_traceback(self):
+        # The read end is closed before the child starts, so its first
+        # write always meets a broken pipe.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "poientropy", "table1"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+
     def test_python_dash_m_entry(self):
         proc = subprocess.run(
             [sys.executable, "-m", "poientropy", "--version"],
@@ -345,3 +427,96 @@ class TestModuleInvocation:
             [sys.executable, "-m", "poientropy"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+
+_COEFF_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10**6).map(str),
+    st.sampled_from(["", "x", "1e400", "-0", "nan", "inf", " 1", "0x10", "1_0", "1e-320"]),
+)
+_JUNK = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=3),
+        st.sampled_from([10**400, -(10**400)]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=2), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _spec_texts(draw):
+    """A spec file's text: a valid spec, the same with one field or one list
+    entry broken, or not JSON."""
+    m = draw(st.integers(1, 6))
+    p = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    hoods = [sorted({a} | set(draw(st.lists(st.integers(0, m - 1), max_size=3)))) for a in range(m)]
+    pairs = {}
+    for a in range(m):
+        for b in hoods[a]:
+            if b != a:
+                pairs[(min(a, b), max(a, b))] = min(p[a], p[b]) * draw(st.floats(0.0, 1.0))
+    doc = {
+        "m": m,
+        "marginals": p,
+        "neighborhoods": hoods,
+        "pair_expectations": [[a, b, v] for (a, b), v in pairs.items()],
+        "b3": draw(st.one_of(st.just("zero"), st.lists(st.floats(0.0, 0.1), min_size=m, max_size=m))),
+    }
+    action = draw(st.sampled_from(["keep", "drop", "replace", "poke", "garble"]))
+    if action == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif action == "replace":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JUNK)
+    elif action == "poke":
+        entries = doc[draw(st.sampled_from(["marginals", "neighborhoods", "pair_expectations"]))]
+        if entries:
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(_JUNK)
+        else:
+            entries.append(draw(_JUNK))
+    elif action == "garble":
+        return draw(st.text(max_size=20))
+    return json.dumps(doc)
+
+
+class TestCliFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["entropy-bound", "tv-bounds"]),
+        fmt=st.sampled_from(["machine", "pretty", "csv"]),
+        tokens=st.lists(_COEFF_TOKENS, max_size=7),
+        joined=st.booleans(),
+    )
+    def test_coeffs_input_never_raises(self, command, fmt, tokens, joined):
+        text = ",".join(tokens)
+        argv = [command, "--format", fmt]
+        argv += [f"--coeffs={text}"] if joined else ["--coeffs", text]
+        code, _, err = _run_quietly(argv)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert "--coeffs" in err
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["entropy-bound", "tv-bounds"]),
+        fmt=st.sampled_from(["machine", "pretty", "csv"]),
+        text=_spec_texts(),
+    )
+    def test_spec_input_never_raises(self, tmp_path, command, fmt, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, _ = _run_quietly([command, "--spec", str(path), "--format", fmt])
+        assert code in (0, 2, 3)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
