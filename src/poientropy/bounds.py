@@ -95,8 +95,10 @@ class MomentSummary:
     def __post_init__(self):
         if not self.lam > 0.0 or math.isinf(self.lam):
             raise ValueError(f"lam must lie in (0, inf), got {self.lam}")
-        if self.sum_p_squared < 0.0:
-            raise ValueError("sum_p_squared must be >= 0")
+        if not (math.isfinite(self.sum_p_squared) and self.sum_p_squared >= 0.0):
+            raise ValueError(
+                f"sum_p_squared must be finite and >= 0, got {self.sum_p_squared}"
+            )
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.theta > 1.0 + 1e-12:

@@ -212,16 +212,25 @@ def _render(doc, fmt, bits):
 # ---------------------------------------------------------------------------
 
 
-def _parse_probs(spec: str) -> np.ndarray:
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as handle:
-            text = handle.read()
+def _parse_probs(spec: str) -> BernoulliSystem:
+    if os.path.isfile(spec):
+        try:
+            with open(spec, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"--probs file cannot be read: {exc}") from None
     else:
         text = spec
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("no probabilities found in --probs input")
-    return np.array([float(tok) for tok in tokens], dtype=np.float64)
+    try:
+        system = BernoulliSystem([float(tok) for tok in tokens])
+    except ValueError as exc:
+        raise ValueError(f"--probs: {exc}") from None
+    if not system.lam > 0.0:
+        raise ValueError("--probs must have a positive sum (lambda > 0)")
+    return system
 
 
 def _parse_m(text: str) -> int:
@@ -233,6 +242,21 @@ def _parse_m(text: str) -> int:
     if not (math.isfinite(value) and value >= 1 and value == int(value)):
         raise ValueError(f"--m must be a positive integer, got {text}")
     return int(value)
+
+
+def _parse_moments(args) -> MomentSummary:
+    if args.lam is None or args.sum_p2 is None or args.m is None:
+        raise ValueError("--independent requires --lambda, --sum-p2 and --m")
+    if not (math.isfinite(args.lam) and args.lam > 0.0):
+        raise ValueError(f"--lambda must be finite and > 0, got {args.lam}")
+    if not (math.isfinite(args.sum_p2) and args.sum_p2 >= 0.0):
+        raise ValueError(f"--sum-p2 must be finite and >= 0, got {args.sum_p2}")
+    m = _parse_m(args.m)
+    try:
+        return MomentSummary(lam=args.lam, sum_p_squared=args.sum_p2, m=m)
+    except ValueError as exc:
+        # Each field is in range, so the joint check sum p^2 <= lambda failed.
+        raise ValueError(f"--sum-p2 {args.sum_p2} against --lambda {args.lam}: {exc}") from None
 
 
 def _load_spec(path: str) -> DependencySpec:
@@ -303,12 +327,7 @@ def _bound_inputs(args):
             "exactly one input source required: --independent, --spec or --coeffs"
         )
     if args.independent:
-        if args.lam is None or args.sum_p2 is None or args.m is None:
-            raise ValueError("--independent requires --lambda, --sum-p2 and --m")
-        moments = MomentSummary(
-            lam=args.lam, sum_p_squared=args.sum_p2, m=_parse_m(args.m)
-        )
-        return moments, None, None
+        return _parse_moments(args), None, None
     if args.spec is not None:
         spec = _load_spec(args.spec)
         return None, coefficients_from_spec(spec), spec
@@ -399,8 +418,7 @@ def _cmd_tv_bounds(args):
 
 
 def _cmd_exact(args):
-    probs = _parse_probs(args.probs)
-    system = BernoulliSystem(probs)
+    system = _parse_probs(args.probs)
     pmf = exact_distribution(system)
     entropy = pmf_entropy(pmf)
     tv = tv_to_poisson(pmf, system.lam, tol=args.tol)

@@ -222,6 +222,11 @@ class TestIndependentBound:
         assert report.a_term == 0.0
         assert report.epsilon == pytest.approx(float(b_of_lambda(1.0, m=10)), rel=1e-12)
 
+    @pytest.mark.parametrize("sum_p2", [math.nan, math.inf, -1e-300])
+    def test_moment_summary_rejects_bad_sum_p_squared(self, sum_p2):
+        with pytest.raises(ValueError, match="sum_p_squared"):
+            MomentSummary(lam=1.0, sum_p_squared=sum_p2, m=10)
+
     def test_condition_violation(self):
         moments = MomentSummary(lam=2.0, sum_p_squared=1.8, m=3)
         with pytest.raises(ConditionViolated, match="tv_factor_sum_p2"):

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from poientropy import cli
@@ -119,6 +119,14 @@ class TestEntropyBoundCommand:
         )
         assert code == 2
         assert "--m" in err
+
+    def test_nan_sum_p2_is_input_error_naming_the_field(self, capsys):
+        code, _, err = run_cli(
+            capsys, "entropy-bound", "--independent", "--lambda", "1",
+            "--sum-p2", "nan", "--m", "10",
+        )
+        assert code == 2
+        assert "--sum-p2" in err
 
     def test_spec_file_input(self, capsys, tmp_path):
         doc = {
@@ -252,6 +260,14 @@ class TestTvBoundsCommand:
         assert float(results["agg_upper"]["value"]) == pytest.approx(
             9.5163e-4, rel=1e-3
         )
+
+    def test_nan_sum_p2_is_input_error_naming_the_field(self, capsys):
+        code, _, err = run_cli(
+            capsys, "tv-bounds", "--independent", "--lambda", "1",
+            "--sum-p2", "nan", "--m", "10",
+        )
+        assert code == 2
+        assert "--sum-p2" in err
 
     def test_coefficients_only_input(self, capsys):
         code, out, _ = run_cli(
@@ -482,6 +498,34 @@ def _spec_texts(draw):
     return json.dumps(doc)
 
 
+# One --independent or --probs value: junk, a non-finite or out-of-range
+# number, or a valid one.
+_VALUE_TOKENS = st.one_of(
+    _COEFF_TOKENS, st.sampled_from(["-inf", "-1e400", "-1"]), st.text(max_size=4)
+)
+_MOMENT_FLAGS = ("--lambda", "--sum-p2", "--m")
+
+
+@st.composite
+def _moment_argv(draw):
+    """Valid --independent inputs with one field replaced by a drawn token.
+
+    Returns the argv tail and the flag whose value was replaced."""
+    lam = draw(st.floats(1e-6, 1e6))
+    values = {
+        "--lambda": repr(lam),
+        "--sum-p2": repr(lam * draw(st.floats(0.0, 1.0))),
+        "--m": str(draw(st.integers(1, 10**9))),
+    }
+    broken = draw(st.sampled_from(_MOMENT_FLAGS))
+    values[broken] = draw(_VALUE_TOKENS)
+    joined = draw(st.booleans())
+    argv = ["--independent"]
+    for flag in _MOMENT_FLAGS:
+        argv += [f"{flag}={values[flag]}"] if joined else [flag, values[flag]]
+    return argv, broken
+
+
 class TestCliFuzz:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -513,6 +557,40 @@ class TestCliFuzz:
         path.write_text(text, encoding="utf-8")
         code, _, _ = _run_quietly([command, "--spec", str(path), "--format", fmt])
         assert code in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["entropy-bound", "tv-bounds"]),
+        fmt=st.sampled_from(["machine", "pretty", "csv"]),
+        drawn=_moment_argv(),
+    )
+    @example(
+        command="tv-bounds", fmt="machine",
+        drawn=(["--independent", "--lambda", "1", "--sum-p2", "nan", "--m", "10"], "--sum-p2"),
+    )
+    def test_independent_inputs_never_raise(self, command, fmt, drawn):
+        tail, broken = drawn
+        code, _, err = _run_quietly([command, "--format", fmt] + tail)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert broken in err
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        fmt=st.sampled_from(["machine", "pretty", "csv"]),
+        tokens=st.lists(st.one_of(_VALUE_TOKENS, st.floats(0.0, 1.0).map(repr)), max_size=6),
+        sep=st.sampled_from([",", " ", ", "]),
+    )
+    def test_probs_input_never_raises(self, tmp_path, monkeypatch, fmt, tokens, sep):
+        # A junk token must not name a file by accident.
+        monkeypatch.chdir(tmp_path)
+        code, _, err = _run_quietly(["exact", "--format", fmt, f"--probs={sep.join(tokens)}"])
+        assert code in (0, 2)
+        if code == 2:
+            assert "--probs" in err
 
 
 def _run_quietly(argv):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
+import poientropy
 from poientropy.bounds import MomentSummary, entropy_bound_independent
 from poientropy.chenstein import tv_lower_barbour_hall, tv_upper_barbour_hall
 from poientropy.exact import (
@@ -64,6 +69,80 @@ class TestExactDistribution:
             BernoulliSystem([0.5, 1.5])
         with pytest.raises(ValueError):
             BernoulliSystem([-0.1])
+
+
+# Fractional bits of the fixed-point reference below.  The recurrence is a
+# convex combination, so each step adds at most one unit of 2^-_REF_BITS to an
+# entry's error: n <= 400 keeps it under 1e-418, far below the relative
+# precision of every entry above _SMALLEST_NORMAL.
+_REF_BITS = 1400
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _reference_pmf(probs):
+    """The two-tap recurrence in fixed point, rounded to 40 digits by mpmath.
+
+    Each double p is num / 2^e exactly, so (a (2^e - num) + b num) >> e is the
+    update (1 - p) a + p b truncated once to the fixed-point grid."""
+    coeffs = [1 << _REF_BITS]
+    for p in probs:
+        num, den = float(p).as_integer_ratio()
+        shift = den.bit_length() - 1
+        coeffs = [
+            (a * (den - num) + b * num) >> shift
+            for a, b in zip(coeffs + [0], [0] + coeffs)
+        ]
+    with mpmath.workdps(40):
+        return [mpmath.ldexp(c, -_REF_BITS) for c in coeffs]
+
+
+class TestAgainstHighPrecisionReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 63, 64, 65, 400])
+    @pytest.mark.parametrize("p_max", [0.02, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_entries_and_entropy(self, n, p_max, pinned):
+        probs = np.random.default_rng([n, int(100 * p_max)]).uniform(0.0, p_max, n)
+        if pinned:
+            probs[::3] = 0.0
+            probs[1::4] = 1.0
+        pmf = exact_distribution(probs)
+        reference = _reference_pmf(probs)
+        assert pmf.mass.size == n + 1
+        assert np.all(pmf.mass >= 0.0)
+        for got, want in zip(pmf.mass, reference):
+            if want >= _SMALLEST_NORMAL:
+                assert abs(got - want) <= 1e-13 * want
+        with mpmath.workdps(40):
+            entropy = -mpmath.fsum(w * mpmath.log(w) for w in reference if w > 0)
+        assert abs(pmf_entropy(pmf).nats - float(entropy)) <= 1e-13
+
+
+def _mass_digest(threads):
+    """Start a process with ``threads`` BLAS threads that hashes the pmf bytes
+    of one seeded system at n = 30 000."""
+    code = (
+        "import hashlib, numpy as np\n"
+        "from poientropy.exact import exact_distribution\n"
+        "probs = np.random.default_rng(2012).uniform(0.0, 0.5, 30_000)\n"
+        "print(hashlib.sha256(exact_distribution(probs).mass.tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(poientropy.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    return subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True
+    )
+
+
+def test_bytes_do_not_depend_on_blas_threads():
+    # At this n a balanced product-tree fold would end in a convolution of two
+    # 1.5e4-entry halves, whose dots are long enough for OpenBLAS to split
+    # across threads and so round differently.
+    procs = [_mass_digest(threads) for threads in (1, 2)]
+    digests = [proc.communicate(timeout=60)[0].strip() for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs)
+    assert digests[0] == digests[1]
+    assert len(digests[0]) == 64
 
 
 class TestPmfEntropy:
