@@ -50,7 +50,8 @@ from .exact import BernoulliSystem
 from .logspace import LogScalar, log_sum_exp
 from .poisson import (
     EntropyValue,
-    _poisson_entropy_from_log_mean,
+    _check_tol,
+    _poisson_entropy_log_mean,
     poisson_entropy,
 )
 
@@ -257,7 +258,8 @@ def _main_term(log_coeff: float, log_m2: float) -> tuple:
 def _entropy_for(lam_ls: LogScalar, tol: float) -> EntropyValue:
     lam_f = lam_ls.to_float()
     if math.isinf(lam_f):
-        return _poisson_entropy_from_log_mean(lam_ls.logmag)
+        _check_tol(tol)
+        return _poisson_entropy_log_mean(lam_ls.logmag)
     return poisson_entropy(lam_f, tol=tol)
 
 

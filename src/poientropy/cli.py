@@ -340,8 +340,8 @@ def _bound_inputs(args):
 
 
 def _cmd_poisson_entropy(args):
-    if not args.lam > 0.0:
-        raise ValueError(f"--lambda must be > 0, got {args.lam}")
+    if not (math.isfinite(args.lam) and args.lam > 0.0):
+        raise ValueError(f"--lambda must be finite and > 0, got {args.lam}")
     if args.method == "series":
         value = poisson_entropy_series(args.lam, tol=args.tol)
     elif args.method == "asymptotic":
@@ -621,6 +621,8 @@ def main(argv=None) -> int:
     }
 
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
         doc = args.handler(args)
     except (ConditionViolated, NoApplicableBound) as exc:
         doc = {

@@ -23,9 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
-
-from .poisson import EntropyValue, poisson_log_pmf, poisson_tail_bound
+from .poisson import (
+    EntropyValue,
+    _check_lambda,
+    _check_tol,
+    _log_pmf_ratios,
+    poisson_log_pmf,
+)
 
 __all__ = [
     "BernoulliSystem",
@@ -38,6 +42,8 @@ __all__ = [
 # n above which the dense convolution is refused; the bound pipeline is the
 # intended tool at that scale.
 DEFAULT_MAX_N = 100_000
+
+_SMALLEST_SUBNORMAL = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,10 @@ def exact_distribution(system, max_n: int = DEFAULT_MAX_N) -> Pmf:
 def pmf_entropy(pmf: Pmf) -> EntropyValue:
     """-sum m_k ln m_k in nats, with 0 ln 0 = 0."""
     mass = pmf.mass if isinstance(pmf, Pmf) else Pmf(pmf).mass
-    nats = float(-np.sum(xlogy(mass, mass)))
+    # A zero entry meets ln of the smallest subnormal, which is finite, so
+    # its term is exactly 0; every positive entry keeps its own log.
+    logs = np.log(np.maximum(mass, _SMALLEST_SUBNORMAL))
+    nats = -float(np.add.reduce(mass * logs))
     return EntropyValue(
         nats=nats,
         certified_abs_error=1e-14 * mass.size,
@@ -156,24 +165,26 @@ def tv_to_poisson(pmf: Pmf, lam: float, tol: float = 1e-12) -> float:
     certified geometric remainder drops below ``tol``.
     """
     mass = pmf.mass if isinstance(pmf, Pmf) else Pmf(pmf).mass
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    lam = _check_lambda(lam)
+    tol = _check_tol(tol)
     n = mass.size - 1
 
-    k = np.arange(n + 1, dtype=np.float64)
-    log_pois = k * math.log(lam) - lam - gammaln(k + 1.0)
-    on_support = float(np.sum(np.abs(mass - np.exp(log_pois))))
+    log_pois = _log_pmf_ratios(lam, 0, n) + poisson_log_pmf(lam, min(int(lam), n))
+    on_support = float(np.add.reduce(np.abs(mass - np.exp(log_pois))))
 
-    # P(Z > n): sum pmf terms upward until the certified remainder is < tol.
+    # P(Z > n): sum pmf terms upward, by ln p_j = ln p_(j-1) + ln(lam / j),
+    # until the geometric remainder p_j r / (1 - r), r = lam / (j + 1) < 1,
+    # is at most tol.
+    log_p = float(log_pois[-1])
     tail_terms = []
-    j = n + 1
+    j = n
     while True:
-        tail_terms.append(math.exp(poisson_log_pmf(lam, j)))
-        if j + 1 > lam and poisson_tail_bound(lam, j) <= tol:
-            break
         j += 1
+        log_p += math.log(lam / j)
+        tail_terms.append(math.exp(log_p))
+        r = lam / (j + 1)
+        if r < 1.0 and tail_terms[-1] * r <= tol * (1.0 - r):
+            break
     tail = math.fsum(tail_terms)
 
     tv = 0.5 * (on_support + tail)

@@ -5,7 +5,7 @@ random-orientation model on the n-cube) routinely produces magnitudes like
 2**-100 or C(100, 70)**2 / 2**100 that a plain float cannot hold without an
 overflow/underflow cliff.  This module provides a signed log-magnitude scalar
 (:class:`LogScalar`) plus the handful of special functions the bound
-formulas need: lgamma, log-binomial, log-sum-exp and log(1 - e^-x).
+formulas need: log-sum-exp and log(1 - e^-x).
 
 All functions are pure; values are immutable and safe to share across
 threads.
@@ -19,43 +19,11 @@ from typing import Iterable
 
 __all__ = [
     "LogScalar",
-    "log_gamma",
-    "log_binomial",
     "log_sum_exp",
     "log1mexp",
 ]
 
 _LN2 = math.log(2.0)
-
-# Largest n for which the binomial coefficient is taken through exact integer
-# arithmetic; beyond that the lgamma route is used.  Both routes are tested
-# to agree on the overlap.
-_EXACT_BINOMIAL_MAX_N = 64
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Raises ValueError for x <= 0 (the reflection branch is never needed
-    here, and silently returning values at the poles would hide bugs).
-    """
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) for integers 0 <= k <= n.
-
-    Exact integer arithmetic for n <= 64, lgamma otherwise; the two branches
-    agree to better than 1e-10 relative on the overlap, which doubles as an
-    internal cross-check of the lgamma route.
-    """
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    if n <= _EXACT_BINOMIAL_MAX_N:
-        return math.log(math.comb(n, k))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def log_sum_exp(xs: Iterable[float]) -> float:

@@ -1,18 +1,18 @@
 """Poisson and binomial primitives, including certified Poisson entropy.
 
-The entropy of Z ~ Po(lam) in nats is
+The entropy of Z ~ Po(lam) in nats, H(Z) = -sum_k p_k ln p_k, has no closed
+form.  Two evaluation routes are provided:
 
-    H(Z) = lam * ln(e / lam) + sum_{k>=1} lam^k e^-lam ln(k!) / k!
-
-which has no closed form.  Two evaluation routes are provided:
-
-* :func:`poisson_entropy_series` sums the series with a certified geometric
-  tail bound, so the returned absolute-error certificate is a genuine bound
-  on the truncation error.
+* :func:`poisson_entropy_series` sums -p_k ln p_k directly over a window
+  lam +- c (sqrt(lam) + 1), so its cost is O(sqrt(lam)).  The pmf is built
+  from cumulative sums of ln(lam / j) outward from the mode and normalised
+  over the window, so no term is larger than the result and nothing cancels.
+  Its certificate is a proven bound on the error: both tails (geometric
+  ratio bounds), the normalisation, and an explicit float-rounding budget.
 * :func:`poisson_entropy_asymptotic` uses the large-mean expansion
   H(Z) ~ 0.5 ln(2 pi e lam) - 1/(12 lam) - 1/(24 lam^2); its error field is
-  the heuristic 1/lam^3 and is labelled as such (the expansion's remainder
-  is not controlled here).
+  the heuristic 1/lam^3 (or a few ulps of H, whichever is larger) and is
+  labelled as such (the expansion's remainder is not controlled here).
 
 :func:`poisson_entropy` dispatches between the two, and
 :func:`chen_stein_residual` evaluates the characterising identity
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "EntropyValue",
@@ -39,6 +38,7 @@ __all__ = [
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
+_EPS = 2.0**-52  # twice the unit roundoff of a double
 
 # Above this mean the series route is rejected as uneconomical; callers are
 # steered to the asymptotic expansion instead.
@@ -54,10 +54,9 @@ SERIES_ASYMPTOTIC_SWITCH = 1000.0
 class EntropyValue:
     """An entropy in nats together with an absolute-error certificate.
 
-    ``certified_abs_error`` bounds the truncation error of the evaluation;
-    for the asymptotic route it is a heuristic (see ``method``).  Float
-    rounding is excluded from the certificate and is orders of magnitude
-    below it in every supported regime.
+    ``certified_abs_error`` bounds the whole error of the returned value,
+    float rounding included.  For the series route it is proven; for the
+    asymptotic route it is a heuristic (see ``method``).
     """
 
     nats: float
@@ -74,6 +73,55 @@ def _check_lambda(lam: float) -> float:
     if not (lam > 0.0) or math.isinf(lam):
         raise ValueError(f"Poisson mean must lie in (0, inf), got {lam}")
     return lam
+
+
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    return tol
+
+
+def _outward_cumsum(steps: np.ndarray, i: int) -> np.ndarray:
+    """ln(p_k / p_i) from the log-ratios steps[k] = ln(p_(k+1) / p_k).
+
+    Cumulative sums taken outward from index i.  With i the mode, the steps
+    on each side share a sign, so no partial sum is larger than the final
+    one and nothing cancels.
+    """
+    out = np.empty(steps.size + 1)
+    out[i] = 0.0
+    np.add.accumulate(steps[i:], out=out[i + 1:])
+    if i:
+        down = out[i - 1::-1]
+        np.add.accumulate(steps[i - 1::-1], out=down)
+        np.negative(down, out=down)
+    return out
+
+
+def _log_pmf_ratios(lam: float, lo: int, hi: int) -> np.ndarray:
+    """ln(p_k / p_m) for k = lo..hi, where m = floor(lam) clipped to [lo, hi].
+
+    Built from the steps ln(p_j / p_(j-1)) = ln(lam / j), so there is no
+    k ln(lam) - ln(k!) cancellation.
+    """
+    j = np.arange(lo + 1, hi + 1)
+    if lam < 1.0:
+        # ln(lam) and -ln(j) share a sign, so subtracting loses nothing,
+        # whereas lam / j may underflow.
+        steps = math.log(lam) - np.log(j)
+    else:
+        steps = np.log(lam / j)
+    return _outward_cumsum(steps, min(max(int(lam), lo), hi) - lo)
+
+
+def _normalised_entropy(log_w: np.ndarray, i: int) -> tuple:
+    """(-sum p ln p, ln S) for p_k = w_k / S, w = exp(log_w), log_w[i] = 0."""
+    w = np.exp(log_w)
+    w[i] = 0.0  # the weight 1 at i enters through log1p
+    rest = float(np.add.reduce(w))
+    log_s = math.log1p(rest)
+    return log_s - float(w @ log_w) / (1.0 + rest), log_s
 
 
 def poisson_log_pmf(lam: float, k: int) -> float:
@@ -100,85 +148,126 @@ def poisson_tail_bound(lam: float, k: int) -> float:
     return math.exp(log_tail) if log_tail > -745.0 else 0.0
 
 
-def _series_tail_bound(lam: float, K: int) -> float:
-    """Upper bound on sum_{k>K} pmf(k) * ln(k!) for the entropy series.
+def _entropy_tail(log_p_edge: float, log_x: float) -> tuple:
+    """Bounds on the entropy terms and the mass beyond a window edge.
 
-    For k >= 2, ln(k!) <= k ln k, and t_k = pmf(k) * k ln k satisfies
-    t_{k+1}/t_k = lam ln(k+1) / (k ln k), which for k >= K+1 is at most
-    q = lam ln(K+2) / ((K+1) ln(K+1)).  With q < 1 the tail is dominated by
-    the geometric series t_{K+1} / (1 - q).
+    ``log_p_edge`` is an upper bound on ln p at the edge, and ``log_x`` is
+    ln x, where x > 1 is (edge + 1) / lam past the upper edge or lam / edge
+    past the lower one.  With l = -ln p_edge >= 1, the term t = -p ln p
+    changes by the factor (1 + ln x_k / l_k) / x_k at each step away from
+    the window, which is at most q = (1 + ln x / l) / x < 1, so the tail of
+    t is at most t_edge q / (1 - q).  Every -ln p there is at least l, so
+    the tail mass is at most that bound over l.  Returns (entropy bound,
+    mass bound).
     """
-    q = lam * math.log(K + 2) / ((K + 1) * math.log(K + 1))
-    if q >= 0.9:
-        return math.inf
-    kp1 = K + 1
-    log_t = poisson_log_pmf(lam, kp1) + math.log(kp1) + math.log(math.log(kp1))
-    log_tail = log_t - math.log1p(-q)
-    return math.exp(log_tail) if log_tail > -745.0 else 0.0
+    ell = -log_p_edge
+    if not ell >= 1.0:
+        return math.inf, math.inf
+    q = math.exp(-log_x) * (1.0 + log_x / ell)
+    if q >= 1.0:
+        return math.inf, math.inf
+    entropy = math.exp(log_p_edge) * ell * q / (1.0 - q)
+    return entropy, entropy / ell
+
+
+def _window_entropy(lam: float, lo: int, hi: int) -> tuple:
+    """(-sum p ln p over lo..hi normalised, truncation bound, rounding bound).
+
+    Requires lo <= floor(lam) <= hi, lo < lam and hi + 1 > lam.  The
+    window's weights w_k = p_k / p_m are normalised by their sum S, which
+    puts 1/S in place of the true p_m, and 1/S >= p_m.
+    """
+    log_w = _log_pmf_ratios(lam, lo, hi)
+    nats, log_s = _normalised_entropy(log_w, int(lam) - lo)
+
+    # Tails beyond the window.  The pmf is increasing below the mode and
+    # decreasing above it, and p_k <= w_k / S.
+    # ln x as a difference of logs: (hi + 1) / lam overflows for tiny lam.
+    log_lam = math.log(lam)
+    tail, mass = _entropy_tail(float(log_w[-1]) - log_s, math.log(hi + 1) - log_lam)
+    if lo > 0:
+        lower = _entropy_tail(float(log_w[0]) - log_s, log_lam - math.log(lo))
+        tail, mass = tail + lower[0], mass + lower[1]
+    if not mass <= 0.5:
+        return nats, math.inf, 0.0
+    # With the window's mass 1 - tau, the normalised sum is
+    # H_win / (1 - tau) + ln(1 - tau), so H minus it lies between
+    # -tau H_win / (1 - tau) and tail + tau / (1 - tau), and H_win <= H + 1.
+    # The bounds are evaluated from rounded weights, hence the 1e-6 slack.
+    truncation = max(tail + 2.0 * mass, 2.0 * mass * (nats + 2.0)) * (1.0 + 1e-6)
+
+    # Rounding: each ln(p_k / p_m) is off by at most N eps (1 + max|ln w|)
+    # (steps and cumulative sums, whose terms share a sign), plus a few eps
+    # from exp; relative log-weight errors delta move the normalised entropy
+    # by at most 2 H max|delta|; the two final sums and the division add
+    # N eps (1 + H).
+    n = log_w.size
+    delta = n * _EPS * (1.0 - min(float(log_w[0]), float(log_w[-1]))) + 8.0 * _EPS
+    rounding = 2.0 * nats * delta + (n + 4) * _EPS * (1.0 + nats)
+    return nats, truncation, rounding
 
 
 def poisson_entropy_series(
     lam: float, tol: float = 1e-9, lambda_ceiling: float = SERIES_LAMBDA_CEILING
 ) -> EntropyValue:
-    """Entropy of Po(lam) by direct summation with a certified tail bound.
+    """Entropy of Po(lam) by direct summation over a certified window.
 
-    The truncation point K >= max(2 lam, 16) is grown until the dominated
-    geometric tail on sum_{k>K} pmf(k) ln(k!) drops below ``tol``; that tail
-    bound is returned as the certificate.  Rejects means above
-    ``lambda_ceiling`` (default 1e7), where the series is uneconomical and
-    the asymptotic route should be used.
+    Sums -p_k ln p_k over k in lam +- c (sqrt(lam) + 1), widening c until
+    the truncation bound (both tails and the normalisation) is at most
+    tol / 2.  The certificate is that bound plus the explicit rounding
+    budget of the sum.  Cost is O(sqrt(lam)).  Rejects means above
+    ``lambda_ceiling`` (default 1e7), where the asymptotic route is
+    accurate and cheaper.
     """
     lam = _check_lambda(lam)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    tol = _check_tol(tol)
     if lam > lambda_ceiling:
         raise ValueError(
             f"series evaluation rejected for lam={lam:g} > ceiling {lambda_ceiling:g}; "
             "use poisson_entropy_asymptotic"
         )
 
-    K = max(int(math.ceil(2.0 * lam)), 16)
-    tail = _series_tail_bound(lam, K)
-    while tail > tol:
-        K += max(16, K // 4)
-        tail = _series_tail_bound(lam, K)
+    # A normal tail beyond c standard deviations is about e^(-c^2 / 2).
+    spread = 1.0 + math.sqrt(2.0 * max(1.0, -math.log(tol)))
+    while True:
+        reach = spread * (math.sqrt(lam) + 1.0)
+        lo = max(0, math.floor(lam - reach))
+        hi = math.ceil(lam + reach)
+        nats, truncation, rounding = _window_entropy(lam, lo, hi)
+        if truncation <= 0.5 * tol:
+            break
+        spread *= 1.25
+    return EntropyValue(
+        nats=nats, certified_abs_error=truncation + rounding, method="series"
+    )
 
-    # ln(k!) factors double as both the summand weight and part of log pmf.
-    k = np.arange(2, K + 1, dtype=np.float64)
-    log_fact = gammaln(k + 1.0)
-    log_pmf = k * math.log(lam) - lam - log_fact
-    series = float(np.sum(np.exp(log_pmf) * log_fact))
 
-    nats = lam * (1.0 - math.log(lam)) + series
-    return EntropyValue(nats=nats, certified_abs_error=tail, method="series")
+def _poisson_entropy_log_mean(log_lam: float) -> EntropyValue:
+    """The large-mean expansion, driven by ln(lam) so lam itself may overflow.
+
+    The expansion's next term is -19 / (360 lam^3), about 0.05 lam^-3, and
+    the formula rounds to within 4 ulps of H, so max(lam^-3, 8 ulp(H))
+    covers both.  It stays a heuristic: the terms after the next one are
+    not bounded here.  Above lam ~ 1e5 the 8 ulps are the larger.
+    """
+    inv = math.exp(-log_lam)
+    nats = 0.5 * (_LN_2PI + 1.0 + log_lam) - inv / 12.0 - inv * inv / 24.0
+    err = max(inv**3, 8.0 * math.ulp(nats))
+    return EntropyValue(nats=nats, certified_abs_error=err, method="asymptotic")
 
 
 def poisson_entropy_asymptotic(lam: float) -> EntropyValue:
     """Large-mean expansion 0.5 ln(2 pi e lam) - 1/(12 lam) - 1/(24 lam^2).
 
-    Requires lam >= 1.  The reported error 1/lam^3 is a heuristic scale for
-    the first omitted correction, not a proven remainder bound; reports
-    built on it flag the certificate as heuristic.
+    Requires lam >= 1.  The reported error max(1/lam^3, 8 ulp(H)) is a
+    heuristic scale for the first omitted correction plus rounding, not a
+    proven remainder bound; reports built on it flag the certificate as
+    heuristic.
     """
     lam = _check_lambda(lam)
     if lam < 1.0:
         raise ValueError(f"asymptotic expansion requires lam >= 1, got {lam}")
-    nats = 0.5 * (_LN_2PI + 1.0 + math.log(lam)) - 1.0 / (12.0 * lam) - 1.0 / (
-        24.0 * lam * lam
-    )
-    return EntropyValue(
-        nats=nats, certified_abs_error=lam**-3, method="asymptotic"
-    )
-
-
-def _poisson_entropy_from_log_mean(log_lam: float) -> EntropyValue:
-    # Asymptotic route driven by ln(lam); used when lam itself overflows float.
-    nats = 0.5 * (_LN_2PI + 1.0 + log_lam)
-    if log_lam < 300.0:
-        inv = math.exp(-log_lam)
-        nats -= inv / 12.0 + inv * inv / 24.0
-    err = math.exp(-3.0 * log_lam) if log_lam < 240.0 else 0.0
-    return EntropyValue(nats=nats, certified_abs_error=err, method="asymptotic")
+    return _poisson_entropy_log_mean(math.log(lam))
 
 
 def poisson_entropy(
@@ -186,6 +275,7 @@ def poisson_entropy(
 ) -> EntropyValue:
     """Entropy of Po(lam): series for lam <= series_cutoff, expansion above."""
     lam = _check_lambda(lam)
+    tol = _check_tol(tol)
     if lam <= series_cutoff:
         return poisson_entropy_series(lam, tol=tol)
     return poisson_entropy_asymptotic(lam)
@@ -205,16 +295,12 @@ def binomial_entropy(n: int, p: float) -> EntropyValue:
     if p == 0.0 or p == 1.0:
         return EntropyValue(nats=0.0, certified_abs_error=0.0, method="exact")
 
-    k = np.arange(n + 1, dtype=np.float64)
-    log_pmf = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    pmf = np.exp(log_pmf)
-    nats = float(-np.sum(pmf * log_pmf))
+    # ln(p_j / p_(j-1)) = ln((n - j + 1) / j) + ln(p / (1 - p)), summed
+    # outward from the mode and normalised over the whole support.
+    j = np.arange(1, n + 1)
+    steps = np.log((n + 1 - j) / j) + (math.log(p) - math.log1p(-p))
+    mode = min(math.floor((n + 1) * p), n)
+    nats = _normalised_entropy(_outward_cumsum(steps, mode), mode)[0]
     # Rounding estimate; comfortably inside the 1e-10 * n contract.
     return EntropyValue(
         nats=nats, certified_abs_error=1e-12 * (n + 1), method="exact"

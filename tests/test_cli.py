@@ -444,6 +444,27 @@ class TestModuleInvocation:
         )
         assert proc.returncode == 2
 
+    def test_nan_tol_on_exact_exits_2_naming_the_flag(self):
+        # NaN fails every comparison, so a loop that stops on "<= tol" would
+        # never end; the timeout turns such a hang into a failure.
+        proc = subprocess.run(
+            [sys.executable, "-m", "poientropy", "exact", "--probs", "0.1", "--tol", "nan"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "--tol" in proc.stderr
+
+    def test_import_does_not_load_scipy(self):
+        code = (
+            "import sys, poientropy, poientropy.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 _COEFF_TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -526,6 +547,18 @@ def _moment_argv(draw):
     return argv, broken
 
 
+# Every subcommand takes --tol; one valid invocation of each.
+_TOL_COMMANDS = {
+    "poisson-entropy": ["poisson-entropy", "--lambda", "5", "--method", "series"],
+    "entropy-bound": ["entropy-bound", "--independent", "--lambda", "1", "--sum-p2", "0.01", "--m", "100"],
+    "tv-bounds": ["tv-bounds", "--independent", "--lambda", "1", "--sum-p2", "0.01", "--m", "100"],
+    "exact": ["exact", "--probs", "0.1,0.2,0.9"],
+    "hypercube": ["hypercube", "--n", "10", "--k", "9"],
+    "table1": ["table1"],
+    "example1": ["example1"],
+}
+
+
 class TestCliFuzz:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -591,6 +624,36 @@ class TestCliFuzz:
         assert code in (0, 2)
         if code == 2:
             assert "--probs" in err
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(sorted(_TOL_COMMANDS)),
+        fmt=st.sampled_from(["machine", "pretty", "csv"]),
+        token=st.one_of(
+            _VALUE_TOKENS, st.sampled_from(["1e-9", "0.5", "1e-300", "1e300"])
+        ),
+        joined=st.booleans(),
+    )
+    def test_tol_input_never_raises(self, deadline, command, fmt, token, joined):
+        argv = _TOL_COMMANDS[command] + ["--format", fmt]
+        argv += [f"--tol={token}"] if joined else ["--tol", token]
+        code, _, err = _run_quietly(argv)
+        if _tol_is_valid(token):
+            assert code in (0, 3)
+        else:
+            assert code == 2
+            assert "--tol" in err
+
+
+def _tol_is_valid(token):
+    try:
+        value = float(token)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value > 0.0
 
 
 def _run_quietly(argv):

@@ -8,66 +8,11 @@ from hypothesis import strategies as st
 from poientropy.logspace import (
     LogScalar,
     log1mexp,
-    log_binomial,
-    log_gamma,
     log_sum_exp,
 )
 
 # High-precision references (40-digit mpmath evaluation, frozen).
-LN_10_FACTORIAL = 15.104412573075515
-HALF_LN_PI = 0.5723649429247001
-LN_C_100_95 = 18.136824941982426
-LN_C_30_27 = 8.308938252595778
 LOG1MEXP_AT_1 = -0.45867514538708189
-
-
-class TestLogGamma:
-    def test_gamma_of_one_is_zero(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_integer_factorial(self):
-        assert log_gamma(11) == pytest.approx(LN_10_FACTORIAL, rel=1e-12)
-
-    def test_half_integer_closed_form(self):
-        assert log_gamma(0.5) == pytest.approx(HALF_LN_PI, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-
-class TestLogBinomial:
-    def test_diagonal_is_zero(self):
-        assert log_binomial(4, 4) == 0.0
-        assert log_binomial(200, 200) == 0.0
-
-    def test_reference_values(self):
-        assert log_binomial(100, 95) == pytest.approx(LN_C_100_95, rel=1e-12)
-        assert log_binomial(30, 27) == pytest.approx(LN_C_30_27, rel=1e-12)
-
-    @pytest.mark.parametrize("n,k", [(3, 4), (5, -1), (-2, 0)])
-    def test_rejects_bad_arguments(self, n, k):
-        with pytest.raises(ValueError):
-            log_binomial(n, k)
-
-    @pytest.mark.parametrize("n", [10, 32, 64])
-    def test_exact_and_lgamma_routes_agree_on_overlap(self, n):
-        # The exact-integer route serves n <= 64; force the lgamma formula
-        # and compare.
-        for k in range(n + 1):
-            exact = log_binomial(n, k)
-            via_lgamma = (
-                math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-            )
-            assert via_lgamma == pytest.approx(exact, rel=1e-10, abs=1e-10)
-
-    @given(st.integers(min_value=1, max_value=300), st.data())
-    def test_pascals_rule(self, n, data):
-        k = data.draw(st.integers(min_value=1, max_value=n))
-        lhs = log_sum_exp([log_binomial(n - 1, k - 1), log_binomial(n - 1, k)]) \
-            if k <= n - 1 else log_binomial(n - 1, k - 1)
-        assert lhs == pytest.approx(log_binomial(n, k), rel=1e-10, abs=1e-10)
 
 
 class TestLogSumExp:
