@@ -40,7 +40,7 @@ from .exact import (
     pmf_entropy,
     tv_to_poisson,
 )
-from .logspace import LogScalar, log1mexp, log_sum_exp
+from .logspace import LogScalar, log1mexp, log_gamma, log_sum_exp
 from .models import (
     Example1Case,
     MonteCarloResult,
@@ -69,6 +69,7 @@ __all__ = [
     "__version__",
     # logspace
     "LogScalar",
+    "log_gamma",
     "log_sum_exp",
     "log1mexp",
     # poisson

@@ -5,7 +5,7 @@ random-orientation model on the n-cube) routinely produces magnitudes like
 2**-100 or C(100, 70)**2 / 2**100 that a plain float cannot hold without an
 overflow/underflow cliff.  This module provides a signed log-magnitude scalar
 (:class:`LogScalar`) plus the handful of special functions the bound
-formulas need: log-sum-exp and log(1 - e^-x).
+formulas need: lgamma, log-sum-exp and log(1 - e^-x).
 
 All functions are pure; values are immutable and safe to share across
 threads.
@@ -19,11 +19,23 @@ from typing import Iterable
 
 __all__ = [
     "LogScalar",
+    "log_gamma",
     "log_sum_exp",
     "log1mexp",
 ]
 
 _LN2 = math.log(2.0)
+
+
+def log_gamma(x: float) -> float:
+    """Natural log of the Gamma function for x > 0.
+
+    Raises ValueError for x <= 0 (the reflection branch is never needed
+    here, and silently returning values at the poles would hide bugs).
+    """
+    if x <= 0.0:
+        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    return math.lgamma(x)
 
 
 def log_sum_exp(xs: Iterable[float]) -> float:

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .logspace import log_gamma
+
 __all__ = [
     "EntropyValue",
     "poisson_log_pmf",
@@ -131,7 +133,7 @@ def poisson_log_pmf(lam: float, k: int) -> float:
         raise ValueError(f"k must be a non-negative integer, got {k}")
     if k == 0:
         return -lam
-    return k * math.log(lam) - lam - math.lgamma(k + 1)
+    return k * math.log(lam) - lam - log_gamma(k + 1)
 
 
 def poisson_tail_bound(lam: float, k: int) -> float:

@@ -8,11 +8,30 @@ from hypothesis import strategies as st
 from poientropy.logspace import (
     LogScalar,
     log1mexp,
+    log_gamma,
     log_sum_exp,
 )
 
 # High-precision references (40-digit mpmath evaluation, frozen).
+LN_10_FACTORIAL = 15.104412573075515
+HALF_LN_PI = 0.5723649429247001
 LOG1MEXP_AT_1 = -0.45867514538708189
+
+
+class TestLogGamma:
+    def test_gamma_of_one_is_zero(self):
+        assert log_gamma(1.0) == 0.0
+
+    def test_integer_factorial(self):
+        assert log_gamma(11) == pytest.approx(LN_10_FACTORIAL, rel=1e-12)
+
+    def test_half_integer_closed_form(self):
+        assert log_gamma(0.5) == pytest.approx(HALF_LN_PI, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    def test_rejects_nonpositive(self, x):
+        with pytest.raises(ValueError):
+            log_gamma(x)
 
 
 class TestLogSumExp:
