@@ -189,10 +189,6 @@ def a_of_lambda(coeffs: ChenSteinCoefficients) -> float:
     return 2.0 * tv_upper_agg(coeffs)
 
 
-def _log_a_of_lambda(coeffs: ChenSteinCoefficients) -> float:
-    return _LN2 + log_tv_upper_agg(coeffs)
-
-
 def b_of_lambda(
     lam: Union[float, LogScalar], m: Optional[int] = None, log2_m: Optional[float] = None
 ) -> LogScalar:
@@ -273,8 +269,9 @@ def entropy_bound_general(
     violation raises :class:`ConditionViolated` naming the failed
     inequality and its actual value.
     """
-    log_a = _log_a_of_lambda(coeffs)
-    a_value = a_of_lambda(coeffs)
+    log_tv = log_tv_upper_agg(coeffs)
+    log_a = _LN2 + log_tv
+    a_value = 2.0 * math.exp(log_tv) if log_tv > -745.0 else 0.0  # as a_of_lambda
     lam_f = coeffs.lam.to_float()
     m1_f = math.exp(coeffs.log_m_minus_1) if coeffs.log_m_minus_1 < 709 else math.inf
 
@@ -318,23 +315,24 @@ def _one_sided_report(
     moments: MomentSummary,
     log_coeff: float,
     checks: tuple,
-    tol: float,
-    notes: str = "",
+    h: EntropyValue,
+    b_ls: LogScalar,
 ) -> EntropyBoundReport:
-    h = poisson_entropy(moments.lam, tol=tol)
+    """Assemble a one-sided report from the rule's coefficient and the
+    H(Z) and b(lam) it shares with the other independent-case rule."""
     log_m2 = math.log(moments.m + 2)
     a_term, a_term_log = _main_term(log_coeff, log_m2)
-    b_ls = b_of_lambda(moments.lam, m=moments.m)
     b_term = b_ls.to_float()
     eps = a_term + b_term
     eps_log = log_sum_exp([a_term_log, b_ls.logmag])
 
     point = h.nats - 0.5 * eps
+    notes = ""
     if point > 0.0:
         rel = (0.5 * eps) / point
     else:
         rel = math.inf
-        notes = (notes + "; " if notes else "") + "bound is vacuous (wider than H(Z))"
+        notes = "bound is vacuous (wider than H(Z))"
     return EntropyBoundReport(
         theorem_id=rule,
         convention="one-sided-midpoint",
@@ -366,14 +364,13 @@ def _lambda_check(moments: MomentSummary) -> ConditionCheck:
     return ConditionCheck("lambda", limit, moments.lam, moments.lam <= limit)
 
 
-def entropy_bound_independent(
-    moments: MomentSummary, tol: float = 1e-9
-) -> EntropyBoundReport:
-    """One-sided certificate 0 <= H(Z) - H(W) <= 2c ln((m+2)/(2c)) + b.
+def _shared_terms(moments: MomentSummary, tol: float) -> tuple:
+    """H(Z) and b(lam), which both independent-case rules use unchanged."""
+    return poisson_entropy(moments.lam, tol=tol), b_of_lambda(moments.lam, m=moments.m)
 
-    The caller asserts independence of the summands by calling this; only
-    the moment summary is needed.  Hypotheses: c <= 1/4 and lam <= m - 1.
-    """
+
+def _corollary_terms(moments: MomentSummary) -> tuple:
+    """ln(2c) and the checks of the plain rule; raises if a check fails."""
     log_c = _log_corollary_coeff(moments)
     c = math.exp(log_c) if log_c > -745.0 else 0.0
     checks = (
@@ -382,9 +379,20 @@ def entropy_bound_independent(
     )
     if not all(ck.satisfied for ck in checks):
         raise ConditionViolated(checks)
+    return _LN2 + log_c if log_c > -math.inf else -math.inf, checks
+
+
+def entropy_bound_independent(
+    moments: MomentSummary, tol: float = 1e-9
+) -> EntropyBoundReport:
+    """One-sided certificate 0 <= H(Z) - H(W) <= 2c ln((m+2)/(2c)) + b.
+
+    The caller asserts independence of the summands by calling this; only
+    the moment summary is needed.  Hypotheses: c <= 1/4 and lam <= m - 1.
+    """
+    log_coeff, checks = _corollary_terms(moments)
     return _one_sided_report(
-        RULE_INDEPENDENT, moments, _LN2 + log_c if log_c > -math.inf else -math.inf,
-        checks, tol,
+        RULE_INDEPENDENT, moments, log_coeff, checks, *_shared_terms(moments, tol)
     )
 
 
@@ -404,14 +412,8 @@ def g_of_p(moments: MomentSummary) -> float:
     return 2.0 * theta * min(branch_tv, branch_sharp)
 
 
-def entropy_bound_independent_sharp(
-    moments: MomentSummary, tol: float = 1e-9
-) -> EntropyBoundReport:
-    """One-sided certificate with the sharpened coefficient g.
-
-    Requires the plain independent-case hypotheses (c <= 1/4, lam <= m - 1)
-    plus g <= 1/2 and theta < 1.
-    """
+def _proposition_terms(moments: MomentSummary) -> tuple:
+    """ln g and the checks of the sharpened rule; raises if a check fails."""
     log_c = _log_corollary_coeff(moments)
     c = math.exp(log_c) if log_c > -745.0 else 0.0
     theta_ok = moments.theta < 1.0
@@ -423,8 +425,21 @@ def entropy_bound_independent_sharp(
     )
     if not all(ck.satisfied for ck in checks):
         raise ConditionViolated(checks)
-    log_g = math.log(g) if g > 0.0 else -math.inf
-    return _one_sided_report(RULE_INDEPENDENT_SHARP, moments, log_g, checks, tol)
+    return (math.log(g) if g > 0.0 else -math.inf), checks
+
+
+def entropy_bound_independent_sharp(
+    moments: MomentSummary, tol: float = 1e-9
+) -> EntropyBoundReport:
+    """One-sided certificate with the sharpened coefficient g.
+
+    Requires the plain independent-case hypotheses (c <= 1/4, lam <= m - 1)
+    plus g <= 1/2 and theta < 1.
+    """
+    log_coeff, checks = _proposition_terms(moments)
+    return _one_sided_report(
+        RULE_INDEPENDENT_SHARP, moments, log_coeff, checks, *_shared_terms(moments, tol)
+    )
 
 
 def best_independent_bound(
@@ -437,15 +452,23 @@ def best_independent_bound(
     checks of both rules if neither applies; a check the two rules share
     is listed once.
     """
-    candidates = []
+    applicable = []
     checks = {}
-    for fn in (entropy_bound_independent, entropy_bound_independent_sharp):
+    for rule, terms in (
+        (RULE_INDEPENDENT, _corollary_terms),
+        (RULE_INDEPENDENT_SHARP, _proposition_terms),
+    ):
         try:
-            candidates.append(fn(moments, tol=tol))
+            applicable.append((rule, *terms(moments)))
         except ConditionViolated as exc:
             for check in exc.checks:
                 checks.setdefault((check.name, check.required, check.actual), check)
-    if not candidates:
+    if not applicable:
         raise NoApplicableBound(checks.values())
+    shared = _shared_terms(moments, tol)
+    candidates = [
+        _one_sided_report(rule, moments, log_coeff, rule_checks, *shared)
+        for rule, log_coeff, rule_checks in applicable
+    ]
     best = min(candidates, key=lambda r: (r.epsilon, r.theorem_id != RULE_INDEPENDENT))
     return best

@@ -43,6 +43,7 @@ from .chenstein import (
 from .exact import BernoulliSystem, exact_distribution, pmf_entropy, tv_to_poisson
 from .logspace import LogScalar
 from .models import (
+    MC_MAX_DIMENSION,
     hypercube_coefficients,
     hypercube_monte_carlo,
     reproduce_example1,
@@ -54,6 +55,14 @@ _LN2 = math.log(2.0)
 _LOG_FLOOR = 1e-300  # below this magnitude a log_value companion is attached
 
 _RULES = ("theorem4", "corollary", "proposition", "best")
+
+# Largest accepted ``hypercube --n``: the exact binomials C(n, k) take about
+# 10 ms at n = 1e4 but 0.57 s at 1e5 and 4.5 s at 3e5.
+_HYPERCUBE_MAX_N = 10_000
+# Largest accepted ``hypercube --replicates``: the simulator lists one seed
+# per 4096-replicate chunk up front, and 1e8 replicates already take hours
+# at n = 16.
+_MAX_REPLICATES = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +351,18 @@ def _bound_inputs(args):
 def _cmd_poisson_entropy(args):
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         raise ValueError(f"--lambda must be finite and > 0, got {args.lam}")
-    if args.method == "series":
-        value = poisson_entropy_series(args.lam, tol=args.tol)
-    elif args.method == "asymptotic":
-        value = poisson_entropy_asymptotic(args.lam)
-    else:
-        value = poisson_entropy(args.lam, tol=args.tol)
+    try:
+        if args.method == "series":
+            value = poisson_entropy_series(args.lam, tol=args.tol)
+        elif args.method == "asymptotic":
+            value = poisson_entropy_asymptotic(args.lam)
+        else:
+            value = poisson_entropy(args.lam, tol=args.tol)
+    except ValueError as exc:
+        # Each route's range of lambda is the routine's to state.
+        raise ValueError(
+            f"--lambda {args.lam!r} is outside --method {args.method}: {exc}"
+        ) from None
     notes = []
     if value.method == "asymptotic":
         notes.append("certified_abs_error of the asymptotic route is heuristic")
@@ -435,7 +450,28 @@ def _cmd_exact(args):
     return _document(args, results)
 
 
+def _check_hypercube_args(args):
+    if not 1 <= args.n <= _HYPERCUBE_MAX_N:
+        raise ValueError(f"--n must lie in 1..{_HYPERCUBE_MAX_N}, got {args.n}")
+    if not 0 <= args.k <= args.n:
+        raise ValueError(f"--k must lie in 0..n (--n {args.n}), got {args.k}")
+    if not args.simulate:
+        return
+    if args.n > MC_MAX_DIMENSION:
+        raise ValueError(
+            f"--simulate materialises 2^n vertices and needs --n <= "
+            f"{MC_MAX_DIMENSION}, got {args.n}"
+        )
+    if not 1 <= args.replicates <= _MAX_REPLICATES:
+        raise ValueError(
+            f"--replicates must lie in 1..{_MAX_REPLICATES}, got {args.replicates}"
+        )
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _cmd_hypercube(args):
+    _check_hypercube_args(args)
     coeffs = hypercube_coefficients(args.n, args.k)
     results = {
         "lambda": _num(coeffs.lam.to_float(), "dimensionless", coeffs.lam.logmag),
@@ -477,7 +513,7 @@ def _cmd_hypercube(args):
 
 def _cmd_table1(args):
     rows = []
-    for row in reproduce_table1():
+    for row in reproduce_table1(tol=args.tol):
         rows.append(
             {
                 "n": row.n,
@@ -504,7 +540,7 @@ def _cmd_table1(args):
 
 def _cmd_example1(args):
     cases = []
-    for case in reproduce_example1():
+    for case in reproduce_example1(tol=args.tol):
         entry = {
             "a": _num(case.a, "dimensionless"),
             "n": case.n,

@@ -5,16 +5,21 @@ The distribution of W = X_1 + ... + X_n with independent X_i ~ Bern(p_i)
 
     (P_W(0), ..., P_W(n)) = (1-p_1, p_1) * ... * (1-p_n, p_n).
 
-``exact_distribution`` forms it in two stages.  The probabilities are cut
-into blocks of width ceil(sqrt(n)) (the last one padded with p = 0, whose
-factor (1, 0) multiplies exactly), every block's polynomial is built by the
-two-tap update vectorised across blocks, and the block polynomials are then
-folded left to right with ``np.convolve``.  That is about 2 sqrt(n)
-Python-level steps (one per block column, one per fold) for about n^2 / 2
-multiply-adds.  Every term is non-negative, so there is no cancellation and
-no entry can go negative.  This is deliberately the trustworthy route: every
-analytic bound in the package is tested against the pmf, entropy and exact
-total variation distance produced here.
+``exact_distribution`` forms it in three stages.  The probabilities are
+cut into blocks of width ceil(sqrt(n)) (the last one padded with p = 0,
+whose factor (1, 0) multiplies exactly), and every block's polynomial is
+built by the two-tap update vectorised across blocks.  Adjacent pieces are
+then merged pairwise with ``np.convolve``, level by level, while the merged
+pieces stay at or under ``_MAX_DOT`` entries, and the pieces left are folded
+left to right.  Every piece keeps only the run from its first to its last
+nonzero entry, with that run's offset, so entries that underflowed to
+exactly 0.0 (most of them when the p_i are small, and both ends once n is
+in the thousands) are never convolved again; nothing else is dropped.  That
+is about 2 sqrt(n) Python-level steps for at most n^2 / 2 multiply-adds.
+Every term is non-negative, so there is no cancellation and no entry can go
+negative.  This is deliberately the trustworthy route: every analytic bound
+in the package is tested against the pmf, entropy and exact total variation
+distance produced here.
 """
 
 from __future__ import annotations
@@ -44,6 +49,13 @@ __all__ = [
 DEFAULT_MAX_N = 100_000
 
 _SMALLEST_SUBNORMAL = math.ulp(0.0)
+
+# Longest piece the tree in ``exact_distribution`` builds, and so the longest
+# dot product its convolutions take.  It sits well below the 10 000 terms
+# above which OpenBLAS (0.3.31, as bundled with numpy 2.4) splits a dot
+# across threads, and far above the roughly 280 taps from which
+# np.convolve's per-output cost stops mattering.
+_MAX_DOT = 2048
 
 
 @dataclass(frozen=True)
@@ -105,15 +117,31 @@ def _as_probs(system) -> np.ndarray:
     return BernoulliSystem(system).probs
 
 
-def exact_distribution(system, max_n: int = DEFAULT_MAX_N) -> Pmf:
-    """Poisson-binomial pmf of a Bernoulli system by blocked convolution.
+def _band(values: np.ndarray, offset: int):
+    """The run of ``values`` from its first to its last nonzero entry, and
+    the offset of that run.  Only exact zeros are dropped."""
+    if values[0] != 0.0 and values[-1] != 0.0:
+        return offset, values
+    nonzero = np.flatnonzero(values)
+    return offset + int(nonzero[0]), values[nonzero[0] : nonzero[-1] + 1]
 
-    The block width is ceil(sqrt(n)), so each convolution's inner dot
-    products are at most width + 1 long.  BLAS splits only far longer dots
-    across threads, and the fold is sequential, so on a given machine the
-    result is the same bytes whatever the BLAS thread count.  A different
-    BLAS build or CPU kernel may change it at rounding level, as may
-    reordering the probabilities.
+
+def exact_distribution(system, max_n: int = DEFAULT_MAX_N) -> Pmf:
+    """Poisson-binomial pmf of a Bernoulli system by a band-limited tree fold.
+
+    The ceil(sqrt(n))-wide block polynomials are merged pairwise while the
+    merged pieces stay at or under ``_MAX_DOT`` entries, then folded left to
+    right; after every convolution a piece is cut to its nonzero band.
+
+    Determinism: np.convolve takes dot products as long as its shorter
+    operand, and no tree operand or fold piece is longer than
+    max(_MAX_DOT, ceil(sqrt(n)) + 1) entries, which is ``_MAX_DOT`` for n up
+    to 2047^2 (so for every n up to ``DEFAULT_MAX_N``).  BLAS splits only
+    far longer dots across threads, and the merge order depends on n and
+    the band lengths alone, so on a given machine the result is the same
+    bytes whatever the BLAS thread count.  A different BLAS build or CPU
+    kernel may change it at rounding level, as may reordering the
+    probabilities.
     """
     probs = _as_probs(system)
     n = probs.size
@@ -124,20 +152,34 @@ def exact_distribution(system, max_n: int = DEFAULT_MAX_N) -> Pmf:
         )
     width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     blocks = -(-n // width)
-    padded = np.zeros((blocks, width), dtype=np.float64)
-    padded.flat[:n] = probs
-    poly = np.zeros((blocks, width + 1), dtype=np.float64)
-    poly[:, 0] = 1.0
+    padded = np.zeros(blocks * width, dtype=np.float64)
+    padded[:n] = probs
+    padded = padded.reshape(blocks, width).T.copy()
+    # Column b is block b's polynomial, lowest degree first.  Step j
+    # multiplies every column by (1 - p, p), p from row j of ``padded``;
+    # only the first j + 2 rows can be nonzero by then.
+    poly = np.zeros((width + 1, blocks), dtype=np.float64)
+    poly[0] = 1.0
     for j in range(width):
-        p = padded[:, j : j + 1]
-        head = poly[:, : j + 2]
-        shifted = head[:, :-1] * p
+        p = padded[j]
+        head = poly[: j + 2]
+        shifted = head[:-1] * p
         head *= 1.0 - p
-        head[:, 1:] += shifted
-    mass = poly[0]
-    for row in poly[1:]:
-        mass = np.convolve(mass, row)
-    return Pmf(mass[: n + 1])
+        head[1:] += shifted
+
+    pieces = [_band(column, 0) for column in poly.T]
+    while len(pieces) > 1:
+        pairs = list(zip(pieces[0::2], pieces[1::2]))
+        if max(a.size + b.size - 1 for (_, a), (_, b) in pairs) > _MAX_DOT:
+            break
+        merged = [_band(np.convolve(a, b), i + j) for (i, a), (j, b) in pairs]
+        pieces = merged + pieces[len(pairs) * 2 :]
+    offset, band = pieces[0]
+    for i, piece in pieces[1:]:
+        offset, band = _band(np.convolve(band, piece), offset + i)
+    mass = np.zeros(n + 1, dtype=np.float64)
+    mass[offset : offset + band.size] = band
+    return Pmf(mass)
 
 
 def pmf_entropy(pmf: Pmf) -> EntropyValue:

@@ -340,8 +340,11 @@ _EXAMPLE1_REFERENCE = (
 )
 
 
-def reproduce_example1() -> list:
-    """Run both arithmetic-system cases through the independent bounds."""
+def reproduce_example1(tol: float = 1e-9) -> list:
+    """Run both arithmetic-system cases through the independent bounds.
+
+    ``tol`` is the certified tolerance of every Poisson-entropy evaluation.
+    """
     cases = []
     for (a, n), ref in zip(((1e-10, 10**8), (1e-14, 10**12)), _EXAMPLE1_REFERENCE):
         moments = arithmetic_moments(a, n)
@@ -350,9 +353,9 @@ def reproduce_example1() -> list:
                 a=a,
                 n=n,
                 moments=moments,
-                corollary=entropy_bound_independent(moments),
-                proposition=entropy_bound_independent_sharp(moments),
-                best=best_independent_bound(moments),
+                corollary=entropy_bound_independent(moments, tol=tol),
+                proposition=entropy_bound_independent_sharp(moments, tol=tol),
+                best=best_independent_bound(moments, tol=tol),
                 reference=dict(ref),
             )
         )
@@ -390,16 +393,17 @@ _TABLE1_REFERENCE = (
 )
 
 
-def reproduce_table1() -> list:
+def reproduce_table1(tol: float = 1e-9) -> list:
     """Recompute all ten benchmark rows of the orientation model.
 
+    ``tol`` is the certified tolerance of every Poisson-entropy evaluation.
     Every row satisfies the certificate hypotheses; a ConditionViolated here
     would mean the closed forms are wrong, so it is allowed to propagate.
     """
     rows = []
     for n, k, ref_lam, ref_h, ref_rel, ref_fmt in _TABLE1_REFERENCE:
         coeffs = hypercube_coefficients(n, k)
-        report = entropy_bound_general(coeffs)
+        report = entropy_bound_general(coeffs, tol=tol)
         rows.append(
             Table1Row(
                 n=n,

@@ -559,6 +559,41 @@ _TOL_COMMANDS = {
 }
 
 
+# One hypercube value: a small or negative integer, one past a limit (--n,
+# --replicates), a huge integer, or junk.  No valid value is large enough to
+# make the command slow.
+_HYPERCUBE_TOKENS = st.one_of(
+    st.integers(-10, 300).map(str),
+    st.sampled_from(
+        ["10001", str(10**8 + 1), str(10**30), "-0", "1e3", "nan", "", "x", " 1", "1_0"]
+    ),
+    st.text(max_size=4),
+)
+_HYPERCUBE_FLAGS = ("--n", "--k", "--replicates", "--seed")
+
+
+@st.composite
+def _hypercube_argv(draw):
+    """Valid hypercube inputs, with or without --simulate, with one flag's
+    value replaced by a drawn token.
+
+    Returns the argv tail and the flag whose value was replaced."""
+    simulate = draw(st.booleans())
+    n = draw(st.integers(1, 6 if simulate else 200))
+    values = {
+        "--n": str(n),
+        "--k": str(draw(st.integers(0, n))),
+        "--replicates": str(draw(st.integers(1, 200))),
+        "--seed": str(draw(st.integers(0, 10**6))),
+    }
+    broken = draw(st.sampled_from(_HYPERCUBE_FLAGS))
+    values[broken] = draw(_HYPERCUBE_TOKENS)
+    argv = ["--simulate"] if simulate else []
+    for flag in _HYPERCUBE_FLAGS:
+        argv.append(f"{flag}={values[flag]}")
+    return argv, broken
+
+
 class TestCliFuzz:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -641,14 +676,52 @@ class TestCliFuzz:
         argv = _TOL_COMMANDS[command] + ["--format", fmt]
         argv += [f"--tol={token}"] if joined else ["--tol", token]
         code, _, err = _run_quietly(argv)
-        if _tol_is_valid(token):
+        if _positive_finite(token):
             assert code in (0, 3)
         else:
             assert code == 2
             assert "--tol" in err
 
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(fmt=st.sampled_from(["machine", "pretty", "csv"]), drawn=_hypercube_argv())
+    @example(fmt="machine", drawn=(["--n=0", "--k=0"], "--n"))
+    @example(fmt="machine", drawn=(["--n=1000000", "--k=500000"], "--n"))
+    def test_hypercube_inputs_never_raise(self, deadline, fmt, drawn):
+        tail, broken = drawn
+        code, _, err = _run_quietly(["hypercube", "--format", fmt] + tail)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert broken in err
 
-def _tol_is_valid(token):
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        method=st.sampled_from(["auto", "series", "asymptotic"]),
+        fmt=st.sampled_from(["machine", "pretty", "csv"]),
+        token=st.one_of(
+            _VALUE_TOKENS,
+            st.sampled_from(["0.5", "1", "1e7", "1.0000001e7", "1e12", "1e300", "1e-300"]),
+        ),
+    )
+    @example(method="series", fmt="machine", token="1e12")
+    @example(method="asymptotic", fmt="machine", token="0.5")
+    def test_poisson_entropy_lambda_never_raises(self, deadline, method, fmt, token):
+        argv = ["poisson-entropy", "--method", method, "--format", fmt, f"--lambda={token}"]
+        code, _, err = _run_quietly(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert "--lambda" in err
+            if _positive_finite(token):
+                # A valid number refused by the chosen route.
+                assert "--method" in err
+
+
+def _positive_finite(token):
     try:
         value = float(token)
     except ValueError:

@@ -10,6 +10,7 @@ import pytest
 import poientropy
 from poientropy.bounds import MomentSummary, entropy_bound_independent
 from poientropy.chenstein import tv_lower_barbour_hall, tv_upper_barbour_hall
+from poientropy import exact
 from poientropy.exact import (
     BernoulliSystem,
     Pmf,
@@ -115,6 +116,111 @@ class TestAgainstHighPrecisionReference:
         with mpmath.workdps(40):
             entropy = -mpmath.fsum(w * mpmath.log(w) for w in reference if w > 0)
         assert abs(pmf_entropy(pmf).nats - float(entropy)) <= 1e-13
+
+
+class TestBandOffsets:
+    def test_pinned_runs_shift_both_ends(self):
+        # The first blocks are all 1.0 and the last all 0.0, so the band
+        # starts at 100 and ends at or below n - 50 from the first build on.
+        probs = np.concatenate(
+            [np.ones(100), np.random.default_rng(9).uniform(0.0, 0.02, 150), np.zeros(50)]
+        )
+        mass = exact_distribution(probs).mass
+        nonzero = np.flatnonzero(mass)
+        assert nonzero[0] == 100 and nonzero[-1] <= 250
+        for got, want in zip(mass, _reference_pmf(probs)):
+            if want >= _SMALLEST_NORMAL:
+                assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("ones, zeros", [(0, 0), (7, 0), (0, 7), (4000, 1), (1, 4000)])
+    def test_point_masses_are_exact(self, ones, zeros):
+        probs = np.random.default_rng(ones).permutation([1.0] * ones + [0.0] * zeros + [1.0])
+        expected = np.zeros(probs.size + 1)
+        expected[ones + 1] = 1.0
+        assert np.array_equal(exact_distribution(probs).mass, expected)
+
+
+# Entries of the two-tap loop below this are compared to no fixed relative
+# tolerance: an error of a few subnormal ulps in a neighbour is large
+# relative to an entry just above the smallest normal.
+_COMPARED_FLOOR = 1e-300
+
+
+def _two_tap_pmf(probs, length):
+    """The first ``length`` pmf entries by the one-factor-at-a-time loop.
+
+    Each step's entry k reads only entries k and k - 1, so cutting the list
+    at ``length`` changes none of the entries kept."""
+    mass = np.zeros(length)
+    mass[0] = 1.0
+    for p in probs:
+        mass[1:] = mass[1:] * (1.0 - p) + mass[:-1] * p
+        mass[0] *= 1.0 - p
+    return mass
+
+
+def _assert_matches_two_tap(mass, probs, length):
+    want = _two_tap_pmf(probs, length)
+    got = mass[:length]
+    compared = want >= _COMPARED_FLOOR
+    assert np.all(np.abs(got - want)[compared] <= 1e-12 * want[compared])
+    assert np.all(got[~compared] < 1e-290)
+
+
+class TestBandedTree:
+    """Systems whose pmf band is far narrower than n + 1 entries."""
+
+    @pytest.fixture
+    def convolutions(self, monkeypatch):
+        """The operand lengths of every np.convolve call, in order."""
+        calls = []
+        convolve = np.convolve
+
+        def spy(a, v):
+            calls.append((len(a), len(v)))
+            return convolve(a, v)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        return calls
+
+    def test_band_starts_above_zero(self, convolutions):
+        probs = np.random.default_rng(5000).uniform(0.4, 0.6, 5000)
+        mass = exact_distribution(probs).mass
+        nonzero = np.flatnonzero(mass)
+        assert 1000 < nonzero[0] and nonzero[-1] < 4000
+        _assert_matches_two_tap(mass, probs, mass.size)
+        assert max(min(pair) for pair in convolutions) <= exact._MAX_DOT
+
+    def test_band_ends_far_below_n(self, convolutions):
+        probs = np.random.default_rng(30_000).uniform(0.0, 1e-3, 30_000)
+        mass = exact_distribution(probs).mass
+        assert np.flatnonzero(mass)[-1] < 400
+        _assert_matches_two_tap(mass, probs, 400)
+        # Trimmed to its band, every piece merges in the tree.
+        assert all(a + v - 1 <= exact._MAX_DOT for a, v in convolutions)
+
+    def test_scattered_pinned_entries(self):
+        rng = np.random.default_rng(3000)
+        probs = rng.uniform(0.0, 0.5, 3000)
+        probs[rng.choice(3000, 1500, replace=False)] = rng.choice([0.0, 1.0], 1500)
+        mass = exact_distribution(probs).mass
+        ones = int(np.count_nonzero(probs == 1.0))
+        nonzero = np.flatnonzero(mass)
+        assert nonzero[0] >= ones
+        assert nonzero[-1] <= ones + np.count_nonzero((probs > 0.0) & (probs < 1.0))
+        _assert_matches_two_tap(mass, probs, mass.size)
+
+    # For this family the tree merges every block below n = 2200, and at
+    # n = 2300 it stops one merge short and the fold takes the last step.
+    @pytest.mark.parametrize("n, folds", [(2200, False), (2300, True)])
+    def test_tree_hands_over_to_fold(self, convolutions, n, folds):
+        probs = np.random.default_rng(0).uniform(0.25, 0.75, n)
+        mass = exact_distribution(probs).mass
+        _assert_matches_two_tap(mass, probs, mass.size)
+        assert len(convolutions) == math.isqrt(n - 1)  # one per block but one
+        # Only a fold step can make a piece longer than _MAX_DOT.
+        assert any(a + v - 1 > exact._MAX_DOT for a, v in convolutions) == folds
+        assert max(min(pair) for pair in convolutions) <= exact._MAX_DOT
 
 
 def _mass_digest(threads):

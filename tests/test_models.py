@@ -225,6 +225,10 @@ class TestReproduceExample1:
         assert case.best.relative_error > 10 * case.reference["relative_error"]
         assert "not reproduced" in case.reference["note"]
 
+    def test_tol_reaches_the_entropy_routine(self):
+        with pytest.raises(ValueError, match="tol"):
+            reproduce_example1(tol=float("nan"))
+
 
 @pytest.fixture(scope="module")
 def rows():
@@ -255,3 +259,9 @@ class TestReproduceTable1:
     def test_all_conditions_satisfied(self, rows):
         for row in rows:
             assert all(c.satisfied for c in row.report.conditions)
+
+    def test_tol_reaches_the_entropy_routine(self):
+        # Every row takes the asymptotic route, whose value does not depend
+        # on tol, so only a refused tol shows that it is passed on.
+        with pytest.raises(ValueError, match="tol"):
+            reproduce_table1(tol=float("nan"))
