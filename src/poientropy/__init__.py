@@ -48,7 +48,6 @@ from .models import (
     arithmetic_moments,
     hypercube_coefficients,
     hypercube_monte_carlo,
-    hypercube_symmetry_pair,
     reproduce_example1,
     reproduce_table1,
 )
@@ -115,7 +114,6 @@ __all__ = [
     # worked models
     "arithmetic_moments",
     "hypercube_coefficients",
-    "hypercube_symmetry_pair",
     "hypercube_monte_carlo",
     "MonteCarloResult",
     "Example1Case",

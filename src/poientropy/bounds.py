@@ -42,11 +42,12 @@ from typing import Optional, Sequence, Union
 
 from .chenstein import (
     ChenSteinCoefficients,
+    MomentSummary,
+    coefficients_independent,
     log_bh_factor,
     log_tv_upper_agg,
     tv_upper_agg,
 )
-from .exact import BernoulliSystem
 from .logspace import LogScalar, log_sum_exp
 from .poisson import (
     EntropyValue,
@@ -78,45 +79,6 @@ _BRACKET_CONST = (6.0 * math.log(2.0 * math.pi) + 1.0) / 12.0
 RULE_GENERAL = "theorem4"
 RULE_INDEPENDENT = "corollary1"
 RULE_INDEPENDENT_SHARP = "proposition1"
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    """First and second moment mass of an independent Bernoulli system.
-
-    Only lam = sum p_i, sum p_i^2 and the index-set size m are needed by the
-    independent-case bounds, so huge systems (n up to 1e12 in the arithmetic
-    model) never have to be materialised.
-    """
-
-    lam: float
-    sum_p_squared: float
-    m: int
-
-    def __post_init__(self):
-        if not self.lam > 0.0 or math.isinf(self.lam):
-            raise ValueError(f"lam must lie in (0, inf), got {self.lam}")
-        if not (math.isfinite(self.sum_p_squared) and self.sum_p_squared >= 0.0):
-            raise ValueError(
-                f"sum_p_squared must be finite and >= 0, got {self.sum_p_squared}"
-            )
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.theta > 1.0 + 1e-12:
-            raise ValueError(
-                f"theta = sum_p_squared/lam = {self.theta} exceeds 1; "
-                "not a probability system"
-            )
-
-    @property
-    def theta(self) -> float:
-        """Normalised second moment, theta = (sum p_i^2)/lam <= max p_i."""
-        return self.sum_p_squared / self.lam
-
-    @classmethod
-    def from_probs(cls, probs) -> "MomentSummary":
-        system = probs if isinstance(probs, BernoulliSystem) else BernoulliSystem(probs)
-        return cls(lam=system.lam, sum_p_squared=system.sum_p_squared, m=system.n)
 
 
 @dataclass(frozen=True)
@@ -199,21 +161,16 @@ def b_of_lambda(
     silently to 0.0; callers convert with ``float()`` for display.  When
     m - 1 < lam e the exponent turns positive and the value is returned as
     the (possibly huge) number the formula gives - never an error, never
-    silently wrong.
+    silently wrong.  ``lam``, ``m`` and ``log2_m`` are validated as
+    :class:`ChenSteinCoefficients` fields.
     """
-    lam_ls = LogScalar.from_float(lam) if not isinstance(lam, LogScalar) else lam
-    if lam_ls.sign != 1:
-        raise ValueError("lam must be > 0")
-    if (m is None) == (log2_m is None):
-        raise ValueError("exactly one of m and log2_m must be given")
-    if m is not None:
-        if m < 2:
-            raise ValueError(f"m must be >= 2, got {m}")
-        log_m1 = math.log(m - 1)
-    else:
-        log_m1 = log2_m * _LN2 if log2_m * _LN2 > 710.0 else math.log(2.0**log2_m - 1.0)
+    zero = LogScalar.zero()
+    coeffs = ChenSteinCoefficients(b1=zero, b2=zero, b3=zero, lam=lam, m=m, log2_m=log2_m)
+    return LogScalar.from_log(_log_b(coeffs.lam.logmag, coeffs.log_m_minus_1))
 
-    log_lam = lam_ls.logmag
+
+def _log_b(log_lam: float, log_m1: float) -> float:
+    """ln b(lam) from ln(lam) and ln(m - 1); -inf once the exponent overflows."""
     parts = [2.0 * log_lam, math.log(_BRACKET_CONST)]
     if log_lam < 1.0:  # lam < e, so (lam ln(e/lam))_+ is positive
         parts.append(log_lam + math.log(1.0 - log_lam))
@@ -234,8 +191,8 @@ def b_of_lambda(
         exponent = lam_f + second
 
     if exponent == math.inf:
-        return LogScalar.zero()
-    return LogScalar.from_log(log_bracket - exponent)
+        return -math.inf
+    return log_bracket - exponent
 
 
 def _main_term(log_coeff: float, log_m2: float) -> tuple:
@@ -251,12 +208,65 @@ def _main_term(log_coeff: float, log_m2: float) -> tuple:
     return value, log_term
 
 
-def _entropy_for(lam_ls: LogScalar, tol: float) -> EntropyValue:
-    lam_f = lam_ls.to_float()
-    if math.isinf(lam_f):
+def _entropy(lam: float, log_lam: float, tol: float) -> EntropyValue:
+    """H(Z); a mean that overflows a float is evaluated from ln(lam)."""
+    if math.isinf(lam):
         _check_tol(tol)
-        return _poisson_entropy_log_mean(lam_ls.logmag)
-    return poisson_entropy(lam_f, tol=tol)
+        return _poisson_entropy_log_mean(log_lam)
+    return poisson_entropy(lam, tol=tol)
+
+
+def _report(
+    rule: str,
+    lam: float,
+    log_coeff: float,
+    checks: tuple,
+    h: EntropyValue,
+    log_b: float,
+    log_m2: float,
+) -> EntropyBoundReport:
+    """The report of ``rule`` with coefficient exp(``log_coeff``).
+
+    Theorem 4 is two-sided about H(Z); the independent-case rules are
+    one-sided, since H(Z) >= H(W) there.
+    """
+    a_term, a_term_log = _main_term(log_coeff, log_m2)
+    b_term = math.inf if log_b > 709.0 else math.exp(log_b)  # as LogScalar.to_float
+    eps = a_term + b_term
+    eps_log = log_sum_exp([a_term_log, log_b])
+
+    notes = ""
+    if rule == RULE_GENERAL:
+        convention = "two-sided-centered"
+        interval, point = (h.nats - eps, h.nats + eps), h.nats
+        rel = eps / h.nats if eps > 0.0 else (
+            math.exp(eps_log - math.log(h.nats)) if eps_log > -math.inf else 0.0
+        )
+    else:
+        convention = "one-sided-midpoint"
+        interval, point = (h.nats - eps, h.nats), h.nats - 0.5 * eps
+        if point > 0.0:
+            rel = (0.5 * eps) / point
+        else:
+            rel = math.inf
+            notes = "bound is vacuous (wider than H(Z))"
+    return EntropyBoundReport(
+        theorem_id=rule,
+        convention=convention,
+        lam=lam,
+        h_poisson=h,
+        a_term=a_term,
+        b_term=b_term,
+        epsilon=eps,
+        interval=interval,
+        point_estimate=point,
+        relative_error=rel,
+        conditions=checks,
+        a_term_log=a_term_log,
+        b_term_log=log_b,
+        epsilon_log=eps_log,
+        notes=notes,
+    )
 
 
 def entropy_bound_general(
@@ -272,127 +282,19 @@ def entropy_bound_general(
     log_tv = log_tv_upper_agg(coeffs)
     log_a = _LN2 + log_tv
     a_value = 2.0 * math.exp(log_tv) if log_tv > -745.0 else 0.0  # as a_of_lambda
-    lam_f = coeffs.lam.to_float()
-    m1_f = math.exp(coeffs.log_m_minus_1) if coeffs.log_m_minus_1 < 709 else math.inf
+    lam = coeffs.lam.to_float()
+    log_lam, log_m1 = coeffs.lam.logmag, coeffs.log_m_minus_1
+    m1_f = math.exp(log_m1) if log_m1 < 709 else math.inf
 
     checks = (
         ConditionCheck("a(lambda)", 0.5, a_value, log_a <= _LN_HALF),
-        ConditionCheck("lambda", m1_f, lam_f, coeffs.lam.logmag <= coeffs.log_m_minus_1),
+        ConditionCheck("lambda", m1_f, lam, log_lam <= log_m1),
     )
     if not all(c.satisfied for c in checks):
         raise ConditionViolated(checks)
-
-    h = _entropy_for(coeffs.lam, tol)
-    a_term, a_term_log = _main_term(log_a, coeffs.log_m_plus_2)
-    b_ls = b_of_lambda(coeffs.lam, m=coeffs.m, log2_m=coeffs.log2_m)
-    b_term = b_ls.to_float()
-    eps_log = log_sum_exp([a_term_log, b_ls.logmag])
-    eps = a_term + b_term
-
-    rel = eps / h.nats if eps > 0.0 else (
-        math.exp(eps_log - math.log(h.nats)) if eps_log > -math.inf else 0.0
-    )
-    return EntropyBoundReport(
-        theorem_id=RULE_GENERAL,
-        convention="two-sided-centered",
-        lam=lam_f,
-        h_poisson=h,
-        a_term=a_term,
-        b_term=b_term,
-        epsilon=eps,
-        interval=(h.nats - eps, h.nats + eps),
-        point_estimate=h.nats,
-        relative_error=rel,
-        conditions=checks,
-        a_term_log=a_term_log,
-        b_term_log=b_ls.logmag,
-        epsilon_log=eps_log,
-    )
-
-
-def _one_sided_report(
-    rule: str,
-    moments: MomentSummary,
-    log_coeff: float,
-    checks: tuple,
-    h: EntropyValue,
-    b_ls: LogScalar,
-) -> EntropyBoundReport:
-    """Assemble a one-sided report from the rule's coefficient and the
-    H(Z) and b(lam) it shares with the other independent-case rule."""
-    log_m2 = math.log(moments.m + 2)
-    a_term, a_term_log = _main_term(log_coeff, log_m2)
-    b_term = b_ls.to_float()
-    eps = a_term + b_term
-    eps_log = log_sum_exp([a_term_log, b_ls.logmag])
-
-    point = h.nats - 0.5 * eps
-    notes = ""
-    if point > 0.0:
-        rel = (0.5 * eps) / point
-    else:
-        rel = math.inf
-        notes = "bound is vacuous (wider than H(Z))"
-    return EntropyBoundReport(
-        theorem_id=rule,
-        convention="one-sided-midpoint",
-        lam=moments.lam,
-        h_poisson=h,
-        a_term=a_term,
-        b_term=b_term,
-        epsilon=eps,
-        interval=(h.nats - eps, h.nats),
-        point_estimate=point,
-        relative_error=rel,
-        conditions=checks,
-        a_term_log=a_term_log,
-        b_term_log=b_ls.logmag,
-        epsilon_log=eps_log,
-        notes=notes,
-    )
-
-
-def _log_corollary_coeff(moments: MomentSummary) -> float:
-    """ln of c = ((1 - e^-lam)/lam) sum p_i^2 (-inf when the sum is 0)."""
-    if moments.sum_p_squared == 0.0:
-        return -math.inf
-    return math.log(moments.sum_p_squared) + log_bh_factor(math.log(moments.lam))
-
-
-def _lambda_check(moments: MomentSummary) -> ConditionCheck:
-    limit = float(moments.m - 1)
-    return ConditionCheck("lambda", limit, moments.lam, moments.lam <= limit)
-
-
-def _shared_terms(moments: MomentSummary, tol: float) -> tuple:
-    """H(Z) and b(lam), which both independent-case rules use unchanged."""
-    return poisson_entropy(moments.lam, tol=tol), b_of_lambda(moments.lam, m=moments.m)
-
-
-def _corollary_terms(moments: MomentSummary) -> tuple:
-    """ln(2c) and the checks of the plain rule; raises if a check fails."""
-    log_c = _log_corollary_coeff(moments)
-    c = math.exp(log_c) if log_c > -745.0 else 0.0
-    checks = (
-        ConditionCheck("tv_factor_sum_p2", 0.25, c, log_c <= math.log(0.25)),
-        _lambda_check(moments),
-    )
-    if not all(ck.satisfied for ck in checks):
-        raise ConditionViolated(checks)
-    return _LN2 + log_c if log_c > -math.inf else -math.inf, checks
-
-
-def entropy_bound_independent(
-    moments: MomentSummary, tol: float = 1e-9
-) -> EntropyBoundReport:
-    """One-sided certificate 0 <= H(Z) - H(W) <= 2c ln((m+2)/(2c)) + b.
-
-    The caller asserts independence of the summands by calling this; only
-    the moment summary is needed.  Hypotheses: c <= 1/4 and lam <= m - 1.
-    """
-    log_coeff, checks = _corollary_terms(moments)
-    return _one_sided_report(
-        RULE_INDEPENDENT, moments, log_coeff, checks, *_shared_terms(moments, tol)
+    return _report(
+        RULE_GENERAL, lam, log_a, checks,
+        _entropy(lam, log_lam, tol), _log_b(log_lam, log_m1), coeffs.log_m_plus_2,
     )
 
 
@@ -412,20 +314,69 @@ def g_of_p(moments: MomentSummary) -> float:
     return 2.0 * theta * min(branch_tv, branch_sharp)
 
 
-def _proposition_terms(moments: MomentSummary) -> tuple:
-    """ln g and the checks of the sharpened rule; raises if a check fails."""
-    log_c = _log_corollary_coeff(moments)
+def _independent_terms(moments: MomentSummary) -> dict:
+    """ln of each independent-case rule's coefficient, with its checks.
+
+    Both rules need c = ((1 - e^-lam)/lam) sum p_i^2 <= 1/4 and
+    lam <= m - 1; the sharpened rule adds g <= 1/2 (and theta < 1).
+    """
+    if moments.sum_p_squared == 0.0:
+        log_c = -math.inf
+    else:
+        log_c = math.log(moments.sum_p_squared) + log_bh_factor(math.log(moments.lam))
     c = math.exp(log_c) if log_c > -745.0 else 0.0
+    limit = float(moments.m - 1)
+    shared = (
+        ConditionCheck("tv_factor_sum_p2", 0.25, c, log_c <= math.log(0.25)),
+        ConditionCheck("lambda", limit, moments.lam, moments.lam <= limit),
+    )
     theta_ok = moments.theta < 1.0
     g = g_of_p(moments) if theta_ok else math.inf
-    checks = (
-        ConditionCheck("tv_factor_sum_p2", 0.25, c, log_c <= math.log(0.25)),
-        _lambda_check(moments),
-        ConditionCheck("g", 0.5, g, theta_ok and g <= 0.5),
-    )
-    if not all(ck.satisfied for ck in checks):
-        raise ConditionViolated(checks)
-    return (math.log(g) if g > 0.0 else -math.inf), checks
+    return {
+        RULE_INDEPENDENT: (_LN2 + log_c, shared),
+        RULE_INDEPENDENT_SHARP: (
+            math.log(g) if g > 0.0 else -math.inf,
+            shared + (ConditionCheck("g", 0.5, g, theta_ok and g <= 0.5),),
+        ),
+    }
+
+
+def _independent_bound(
+    rules: tuple, moments: MomentSummary, tol: float, refusal: type
+) -> EntropyBoundReport:
+    """The smallest certificate among ``rules`` whose checks hold.
+
+    Ties go to the plain rule.  H(Z) and b(lam) are evaluated once for all
+    of the rules.  If none applies, raises ``refusal`` with every check of
+    every rule, a check the rules share listed once.
+    """
+    terms = _independent_terms(moments)
+    applicable = [rule for rule in rules if all(c.satisfied for c in terms[rule][1])]
+    if not applicable:
+        checks = {}
+        for rule in rules:
+            for check in terms[rule][1]:
+                checks.setdefault((check.name, check.required, check.actual), check)
+        raise refusal(checks.values())
+    coeffs = coefficients_independent(moments)
+    h = _entropy(moments.lam, coeffs.lam.logmag, tol)
+    log_b = _log_b(coeffs.lam.logmag, coeffs.log_m_minus_1)
+    candidates = [
+        _report(rule, moments.lam, *terms[rule], h, log_b, coeffs.log_m_plus_2)
+        for rule in applicable
+    ]
+    return min(candidates, key=lambda r: (r.epsilon, r.theorem_id != RULE_INDEPENDENT))
+
+
+def entropy_bound_independent(
+    moments: MomentSummary, tol: float = 1e-9
+) -> EntropyBoundReport:
+    """One-sided certificate 0 <= H(Z) - H(W) <= 2c ln((m+2)/(2c)) + b.
+
+    The caller asserts independence of the summands by calling this; only
+    the moment summary is needed.  Hypotheses: c <= 1/4 and lam <= m - 1.
+    """
+    return _independent_bound((RULE_INDEPENDENT,), moments, tol, ConditionViolated)
 
 
 def entropy_bound_independent_sharp(
@@ -436,10 +387,7 @@ def entropy_bound_independent_sharp(
     Requires the plain independent-case hypotheses (c <= 1/4, lam <= m - 1)
     plus g <= 1/2 and theta < 1.
     """
-    log_coeff, checks = _proposition_terms(moments)
-    return _one_sided_report(
-        RULE_INDEPENDENT_SHARP, moments, log_coeff, checks, *_shared_terms(moments, tol)
-    )
+    return _independent_bound((RULE_INDEPENDENT_SHARP,), moments, tol, ConditionViolated)
 
 
 def best_independent_bound(
@@ -452,23 +400,6 @@ def best_independent_bound(
     checks of both rules if neither applies; a check the two rules share
     is listed once.
     """
-    applicable = []
-    checks = {}
-    for rule, terms in (
-        (RULE_INDEPENDENT, _corollary_terms),
-        (RULE_INDEPENDENT_SHARP, _proposition_terms),
-    ):
-        try:
-            applicable.append((rule, *terms(moments)))
-        except ConditionViolated as exc:
-            for check in exc.checks:
-                checks.setdefault((check.name, check.required, check.actual), check)
-    if not applicable:
-        raise NoApplicableBound(checks.values())
-    shared = _shared_terms(moments, tol)
-    candidates = [
-        _one_sided_report(rule, moments, log_coeff, rule_checks, *shared)
-        for rule, log_coeff, rule_checks in applicable
-    ]
-    best = min(candidates, key=lambda r: (r.epsilon, r.theorem_id != RULE_INDEPENDENT))
-    return best
+    return _independent_bound(
+        (RULE_INDEPENDENT, RULE_INDEPENDENT_SHARP), moments, tol, NoApplicableBound
+    )

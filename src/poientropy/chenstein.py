@@ -40,6 +40,7 @@ __all__ = [
     "DependencySpec",
     "dependency_spec_from_dict",
     "ChenSteinCoefficients",
+    "MomentSummary",
     "TvBoundReport",
     "coefficients_from_spec",
     "coefficients_independent",
@@ -380,18 +381,22 @@ class ChenSteinCoefficients:
 
     @property
     def log_m_minus_1(self) -> float:
-        """ln(m - 1); the 1 is dropped once it is far below log precision."""
+        """ln(m - 1); the 1 is dropped once 2^log2_m overflows a float, far
+        below log precision by then."""
         if self.m is not None:
             if self.m < 2:
                 raise ValueError("m - 1 requires m >= 2")
             return math.log(self.m - 1)
-        if self.log2_m * _LN2 > 710.0:
+        if self.log2_m >= 1024.0:
             return self.log2_m * _LN2
         return math.log(2.0**self.log2_m - 1.0)
 
     @property
     def log_m_plus_2(self) -> float:
-        """ln(m + 2), with the +2 correction dropped below float resolution."""
+        """ln(m + 2); for a size given as log2_m the +2 is dropped below float
+        resolution."""
+        if self.m is not None:
+            return math.log(self.m + 2)
         log_m = self.log_m
         if log_m > 690.0:
             return log_m
@@ -430,16 +435,56 @@ def coefficients_from_spec(spec: DependencySpec) -> ChenSteinCoefficients:
     return ChenSteinCoefficients(b1=b1, b2=b2, b3=b3, lam=_log_sum(log_p), m=spec.m)
 
 
+@dataclass(frozen=True)
+class MomentSummary:
+    """First and second moment mass of an independent Bernoulli system.
+
+    Only lam = sum p_i, sum p_i^2 and the index-set size m are needed by the
+    independent-case bounds, so huge systems (n up to 1e12 in the arithmetic
+    model) never have to be materialised.
+    """
+
+    lam: float
+    sum_p_squared: float
+    m: int
+
+    def __post_init__(self):
+        if not self.lam > 0.0 or math.isinf(self.lam):
+            raise ValueError(f"lam must lie in (0, inf), got {self.lam}")
+        if not (math.isfinite(self.sum_p_squared) and self.sum_p_squared >= 0.0):
+            raise ValueError(
+                f"sum_p_squared must be finite and >= 0, got {self.sum_p_squared}"
+            )
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.theta > 1.0 + 1e-12:
+            raise ValueError(
+                f"theta = sum_p_squared/lam = {self.theta} exceeds 1; "
+                "not a probability system"
+            )
+
+    @property
+    def theta(self) -> float:
+        """Normalised second moment, theta = (sum p_i^2)/lam <= max p_i."""
+        return self.sum_p_squared / self.lam
+
+    @classmethod
+    def from_probs(cls, probs) -> "MomentSummary":
+        system = probs if isinstance(probs, BernoulliSystem) else BernoulliSystem(probs)
+        return cls(lam=system.lam, sum_p_squared=system.sum_p_squared, m=system.n)
+
+
 def coefficients_independent(system) -> ChenSteinCoefficients:
     """Coefficients for independent summands: B_a = {a}, so b1 = sum p_i^2
-    and b2 = b3 = 0."""
-    system = system if isinstance(system, BernoulliSystem) else BernoulliSystem(system)
+    and b2 = b3 = 0.  Takes a MomentSummary, a BernoulliSystem or the
+    probabilities themselves."""
+    moments = system if isinstance(system, MomentSummary) else MomentSummary.from_probs(system)
     return ChenSteinCoefficients(
-        b1=LogScalar.from_float(system.sum_p_squared),
+        b1=LogScalar.from_float(moments.sum_p_squared),
         b2=LogScalar.zero(),
         b3=LogScalar.zero(),
-        lam=LogScalar.from_float(system.lam),
-        m=system.n,
+        lam=LogScalar.from_float(moments.lam),
+        m=moments.m,
     )
 
 

@@ -37,6 +37,7 @@ from .chenstein import (
     ChenSteinCoefficients,
     DependencySpec,
     coefficients_from_spec,
+    coefficients_independent,
     dependency_spec_from_dict,
     tv_bound_report,
 )
@@ -44,6 +45,7 @@ from .exact import BernoulliSystem, exact_distribution, pmf_entropy, tv_to_poiss
 from .logspace import LogScalar
 from .models import (
     MC_MAX_DIMENSION,
+    MC_MAX_REPLICATES,
     hypercube_coefficients,
     hypercube_monte_carlo,
     reproduce_example1,
@@ -59,10 +61,6 @@ _RULES = ("theorem4", "corollary", "proposition", "best")
 # Largest accepted ``hypercube --n``: the exact binomials C(n, k) take about
 # 10 ms at n = 1e4 but 0.57 s at 1e5 and 4.5 s at 3e5.
 _HYPERCUBE_MAX_N = 10_000
-# Largest accepted ``hypercube --replicates``: the simulator lists one seed
-# per 4096-replicate chunk up front, and 1e8 replicates already take hours
-# at n = 16.
-_MAX_REPLICATES = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +311,6 @@ def _parse_coeffs(text: str) -> ChenSteinCoefficients:
     )
 
 
-def _moment_coefficients(moments: MomentSummary) -> ChenSteinCoefficients:
-    """Theorem 4 coefficients of independent summands: b1 = sum p^2, b2 = b3 = 0."""
-    return ChenSteinCoefficients(
-        b1=LogScalar.from_float(moments.sum_p_squared),
-        b2=LogScalar.zero(),
-        b3=LogScalar.zero(),
-        lam=LogScalar.from_float(moments.lam),
-        m=moments.m,
-    )
-
-
 def _bound_inputs(args):
     """Resolve the three mutually exclusive entropy-bound input sources.
 
@@ -390,7 +377,7 @@ def _cmd_entropy_bound(args):
     else:
         rule = rule or "best"
         if rule == "theorem4":
-            report = entropy_bound_general(_moment_coefficients(moments), tol=args.tol)
+            report = entropy_bound_general(coefficients_independent(moments), tol=args.tol)
         elif rule == "corollary":
             report = entropy_bound_independent(moments, tol=args.tol)
         elif rule == "proposition":
@@ -412,7 +399,7 @@ def _cmd_tv_bounds(args):
         report = tv_bound_report(
             lam=moments.lam,
             sum_p_squared=moments.sum_p_squared,
-            coeffs=_moment_coefficients(moments),
+            coeffs=coefficients_independent(moments),
         )
     elif spec is not None:
         p = spec.marginals
@@ -462,12 +449,21 @@ def _check_hypercube_args(args):
             f"--simulate materialises 2^n vertices and needs --n <= "
             f"{MC_MAX_DIMENSION}, got {args.n}"
         )
-    if not 1 <= args.replicates <= _MAX_REPLICATES:
+    if not 1 <= args.replicates <= MC_MAX_REPLICATES:
         raise ValueError(
-            f"--replicates must lie in 1..{_MAX_REPLICATES}, got {args.replicates}"
+            f"--replicates must lie in 1..{MC_MAX_REPLICATES}, got {args.replicates}"
         )
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
+def _env_threads() -> int:
+    """The POIENTROPY_THREADS simulation thread count; below 1 means 1."""
+    text = os.environ.get("POIENTROPY_THREADS", "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ValueError(f"POIENTROPY_THREADS must be an integer, got {text!r}") from None
 
 
 def _cmd_hypercube(args):
@@ -483,9 +479,8 @@ def _cmd_hypercube(args):
     notes = []
     conditions = None
     if args.simulate:
-        threads = max(1, int(os.environ.get("POIENTROPY_THREADS", "1")))
         mc = hypercube_monte_carlo(
-            args.n, args.k, args.replicates, args.seed, threads=threads
+            args.n, args.k, args.replicates, args.seed, threads=_env_threads()
         )
         results["simulation"] = {
             "replicates": mc.replicates,

@@ -126,7 +126,7 @@ def _band(values: np.ndarray, offset: int):
     return offset + int(nonzero[0]), values[nonzero[0] : nonzero[-1] + 1]
 
 
-def exact_distribution(system, max_n: int = DEFAULT_MAX_N) -> Pmf:
+def exact_distribution(system) -> Pmf:
     """Poisson-binomial pmf of a Bernoulli system by a band-limited tree fold.
 
     The ceil(sqrt(n))-wide block polynomials are merged pairwise while the
@@ -145,9 +145,9 @@ def exact_distribution(system, max_n: int = DEFAULT_MAX_N) -> Pmf:
     """
     probs = _as_probs(system)
     n = probs.size
-    if n > max_n:
+    if n > DEFAULT_MAX_N:
         raise ValueError(
-            f"n={n} exceeds the exact-oracle cap {max_n}; use the bound "
+            f"n={n} exceeds the exact-oracle cap {DEFAULT_MAX_N}; use the bound "
             "pipeline (chenstein/bounds modules) at this scale"
         )
     width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))

@@ -46,7 +46,6 @@ from .logspace import LogScalar
 __all__ = [
     "arithmetic_moments",
     "hypercube_coefficients",
-    "hypercube_symmetry_pair",
     "hypercube_monte_carlo",
     "MonteCarloResult",
     "Example1Case",
@@ -67,6 +66,10 @@ _MC_CHUNK = 4096
 # about 0.55 GB at n = 16, and the same arithmetic puts n = 17 past 1 GiB.
 # Each thread runs its own chunk.
 MC_MAX_DIMENSION = 16
+
+# Largest accepted replicate count: 1e8 replicates already take hours at
+# n = 16.
+MC_MAX_REPLICATES = 10**8
 
 
 def arithmetic_moments(a: float, n: int) -> MomentSummary:
@@ -114,11 +117,6 @@ def hypercube_coefficients(n: int, k: int) -> ChenSteinCoefficients:
     return ChenSteinCoefficients(
         b1=b1, b2=b2, b3=LogScalar.zero(), lam=lam, log2_m=float(n)
     )
-
-
-def hypercube_symmetry_pair(n: int, k: int):
-    """Coefficients for (n, k) and (n, n-k); identical by C(n,k) = C(n,n-k)."""
-    return hypercube_coefficients(n, k), hypercube_coefficients(n, n - k)
 
 
 @dataclass(frozen=True)
@@ -224,30 +222,34 @@ def hypercube_monte_carlo(
         )
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..n, got k={k}, n={n}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if not 1 <= replicates <= MC_MAX_REPLICATES:
+        raise ValueError(
+            f"replicates must lie in 1..{MC_MAX_REPLICATES}, got {replicates}"
+        )
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     eidx, vmask = _edge_tables(n)
-    n_chunks = (replicates + _MC_CHUNK - 1) // _MC_CHUNK
-    sizes = [
-        min(_MC_CHUNK, replicates - i * _MC_CHUNK) for i in range(n_chunks)
-    ]
-    seqs = [
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(i,))
-        for i in range(n_chunks)
-    ]
+    n_chunks = -(-replicates // _MC_CHUNK)
+    workers = min(threads, n_chunks)
 
-    def run(i):
-        return _mc_chunk_counts(n, k, eidx, vmask, sizes[i], seqs[i])
+    def tally(first):
+        # Worker ``first`` runs chunks first, first + workers, ... and adds
+        # each chunk's counts into its own total as the chunk finishes.
+        total = np.zeros((1 << n) + 1, dtype=np.int64)
+        for i in range(first, n_chunks, workers):
+            size = min(_MC_CHUNK, replicates - i * _MC_CHUNK)
+            seed_seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(i,))
+            total += _mc_chunk_counts(n, k, eidx, vmask, size, seed_seq)
+        return total
 
-    if threads == 1:
-        partials = [run(i) for i in range(n_chunks)]
+    # Integer sums do not depend on order, so the counts are the same bytes
+    # for every thread count.
+    if workers == 1:
+        counts = tally(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, range(n_chunks)))
-    counts = np.sum(partials, axis=0)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = sum(pool.map(tally, range(workers)))
 
     total = int(counts.sum())
     support = np.arange(counts.size, dtype=np.float64)

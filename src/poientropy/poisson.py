@@ -46,7 +46,7 @@ _EPS = 2.0**-52  # twice the unit roundoff of a double
 # steered to the asymptotic expansion instead.
 SERIES_LAMBDA_CEILING = 1.0e7
 
-# Default dispatch point between series and asymptotic evaluation.  At 1000
+# Dispatch point between series and asymptotic evaluation.  At 1000
 # the expansion error ~ lam^-3 = 1e-9 is already far below display precision
 # while the series cost is still sub-millisecond.
 SERIES_ASYMPTOTIC_SWITCH = 1000.0
@@ -209,23 +209,21 @@ def _window_entropy(lam: float, lo: int, hi: int) -> tuple:
     return nats, truncation, rounding
 
 
-def poisson_entropy_series(
-    lam: float, tol: float = 1e-9, lambda_ceiling: float = SERIES_LAMBDA_CEILING
-) -> EntropyValue:
+def poisson_entropy_series(lam: float, tol: float = 1e-9) -> EntropyValue:
     """Entropy of Po(lam) by direct summation over a certified window.
 
     Sums -p_k ln p_k over k in lam +- c (sqrt(lam) + 1), widening c until
     the truncation bound (both tails and the normalisation) is at most
     tol / 2.  The certificate is that bound plus the explicit rounding
     budget of the sum.  Cost is O(sqrt(lam)).  Rejects means above
-    ``lambda_ceiling`` (default 1e7), where the asymptotic route is
+    ``SERIES_LAMBDA_CEILING`` (1e7), where the asymptotic route is
     accurate and cheaper.
     """
     lam = _check_lambda(lam)
     tol = _check_tol(tol)
-    if lam > lambda_ceiling:
+    if lam > SERIES_LAMBDA_CEILING:
         raise ValueError(
-            f"series evaluation rejected for lam={lam:g} > ceiling {lambda_ceiling:g}; "
+            f"series evaluation rejected for lam={lam:g} > ceiling {SERIES_LAMBDA_CEILING:g}; "
             "use poisson_entropy_asymptotic"
         )
 
@@ -272,13 +270,11 @@ def poisson_entropy_asymptotic(lam: float) -> EntropyValue:
     return _poisson_entropy_log_mean(math.log(lam))
 
 
-def poisson_entropy(
-    lam: float, tol: float = 1e-9, series_cutoff: float = SERIES_ASYMPTOTIC_SWITCH
-) -> EntropyValue:
-    """Entropy of Po(lam): series for lam <= series_cutoff, expansion above."""
+def poisson_entropy(lam: float, tol: float = 1e-9) -> EntropyValue:
+    """Entropy of Po(lam): series for lam <= SERIES_ASYMPTOTIC_SWITCH, expansion above."""
     lam = _check_lambda(lam)
     tol = _check_tol(tol)
-    if lam <= series_cutoff:
+    if lam <= SERIES_ASYMPTOTIC_SWITCH:
         return poisson_entropy_series(lam, tol=tol)
     return poisson_entropy_asymptotic(lam)
 

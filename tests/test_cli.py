@@ -334,6 +334,28 @@ class TestHypercubeCommand:
         mean = float(doc["results"]["simulation"]["mean_w"]["value"])
         assert mean == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
+    def test_bad_thread_variable_names_it(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("POIENTROPY_THREADS", value)
+        code, out, err = run_cli(
+            capsys, "hypercube", "--n", "3", "--k", "1", "--simulate",
+            "--replicates", "100",
+        )
+        assert code == 2
+        assert out == ""
+        assert "POIENTROPY_THREADS" in err
+
+    @pytest.mark.parametrize("value", ["-3", "0", "1", "2"])
+    def test_thread_variable_below_one_means_one(self, capsys, monkeypatch, value):
+        argv = ["hypercube", "--n", "3", "--k", "1", "--simulate", "--replicates",
+                "5000", "--format", "machine"]
+        monkeypatch.delenv("POIENTROPY_THREADS", raising=False)
+        _, serial, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv("POIENTROPY_THREADS", value)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == serial
+
     def test_simulation_above_dimension_limit_is_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, "hypercube", "--n", "17", "--k", "16", "--simulate",
@@ -602,6 +624,9 @@ class TestCliFuzz:
         tokens=st.lists(_COEFF_TOKENS, max_size=7),
         joined=st.booleans(),
     )
+    # 2^1024 overflows a float although 1024 ln 2 < 710.
+    @example(command="entropy-bound", fmt="machine", tokens=["0", "0", "0", "5", "1024"], joined=False)
+    @example(command="entropy-bound", fmt="csv", tokens=["0.1", "0", "0", "5", "1024.2"], joined=True)
     def test_coeffs_input_never_raises(self, command, fmt, tokens, joined):
         text = ",".join(tokens)
         argv = [command, "--format", fmt]

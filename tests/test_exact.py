@@ -12,6 +12,7 @@ from poientropy.bounds import MomentSummary, entropy_bound_independent
 from poientropy.chenstein import tv_lower_barbour_hall, tv_upper_barbour_hall
 from poientropy import exact
 from poientropy.exact import (
+    DEFAULT_MAX_N,
     BernoulliSystem,
     Pmf,
     exact_distribution,
@@ -61,7 +62,7 @@ class TestExactDistribution:
 
     def test_cap_points_to_bound_pipeline(self):
         with pytest.raises(ValueError, match="bound"):
-            exact_distribution([0.1] * 10, max_n=5)
+            exact_distribution([0.1] * (DEFAULT_MAX_N + 1))
 
     def test_rejects_invalid_systems(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,12 @@ import pytest
 from poientropy.bounds import entropy_bound_general
 from poientropy.models import (
     MC_MAX_DIMENSION,
+    MC_MAX_REPLICATES,
     _edge_tables,
     _mc_chunk_counts,
     arithmetic_moments,
     hypercube_coefficients,
     hypercube_monte_carlo,
-    hypercube_symmetry_pair,
     reproduce_example1,
     reproduce_table1,
 )
@@ -111,7 +111,7 @@ class TestHypercubeCoefficients:
 
     @pytest.mark.parametrize("n,k", [(30, 27), (50, 48), (100, 70)])
     def test_symmetry_pair_identical(self, n, k):
-        lhs, rhs = hypercube_symmetry_pair(n, k)
+        lhs, rhs = hypercube_coefficients(n, k), hypercube_coefficients(n, n - k)
         assert lhs.lam.logmag == rhs.lam.logmag
         assert lhs.b1.logmag == rhs.b1.logmag
         assert lhs.b2.logmag == rhs.b2.logmag
@@ -191,6 +191,11 @@ class TestHypercubeMonteCarlo:
             tracemalloc.stop()
         assert MC_MAX_DIMENSION == 16
         assert peak < 1 << 20
+
+    def test_replicate_ceiling_refused_at_once(self, deadline):
+        assert MC_MAX_REPLICATES == 10**8
+        with pytest.raises(ValueError, match="replicates"):
+            hypercube_monte_carlo(3, 1, MC_MAX_REPLICATES + 1, master_seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2\\^n"):

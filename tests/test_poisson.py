@@ -6,6 +6,8 @@ import pytest
 
 from poientropy import poisson
 from poientropy.poisson import (
+    SERIES_ASYMPTOTIC_SWITCH,
+    SERIES_LAMBDA_CEILING,
     binomial_entropy,
     chen_stein_residual,
     poisson_entropy,
@@ -157,11 +159,9 @@ class TestEntropySeries:
             poisson_entropy_series(1.0, tol=0.0)
 
     def test_steers_large_mean_to_asymptotic(self):
+        assert SERIES_LAMBDA_CEILING < 2e7
         with pytest.raises(ValueError, match="asymptotic"):
             poisson_entropy_series(2e7, tol=1e-4)
-        # The ceiling is configurable.
-        with pytest.raises(ValueError, match="asymptotic"):
-            poisson_entropy_series(2000.0, tol=1e-6, lambda_ceiling=1000.0)
 
     def test_agrees_with_asymptotic_at_4060(self):
         series = poisson_entropy_series(4060.0, tol=1e-6)
@@ -220,8 +220,9 @@ class TestEntropyDispatch:
         assert abs(series - asym) <= lam**-3 + 1e-6
 
     def test_cutoff_is_configurable(self):
-        assert poisson_entropy(500.0, series_cutoff=100.0).method == "asymptotic"
-        assert poisson_entropy(500.0, series_cutoff=600.0).method == "series"
+        assert SERIES_ASYMPTOTIC_SWITCH == 1000.0
+        assert poisson_entropy(1001.0).method == "asymptotic"
+        assert poisson_entropy(999.0).method == "series"
 
 
 class TestBinomialEntropy:
