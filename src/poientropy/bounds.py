@@ -283,7 +283,8 @@ def entropy_bound_general(
     log_a = _LN2 + log_tv
     a_value = 2.0 * math.exp(log_tv) if log_tv > -745.0 else 0.0  # as a_of_lambda
     lam = coeffs.lam.to_float()
-    log_lam, log_m1 = coeffs.lam.logmag, coeffs.log_m_minus_1
+    # ln(m - 1) = ln 0 at m = 1, where the check lam <= m - 1 below refuses.
+    log_lam, log_m1 = coeffs.lam.logmag, -math.inf if coeffs.m == 1 else coeffs.log_m_minus_1
     m1_f = math.exp(log_m1) if log_m1 < 709 else math.inf
 
     checks = (

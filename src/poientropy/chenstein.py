@@ -35,6 +35,7 @@ import numpy as np
 
 from .exact import BernoulliSystem
 from .logspace import LogScalar, log1mexp, log_sum_exp
+from .poisson import InputError, _check_lambda
 
 __all__ = [
     "DependencySpec",
@@ -84,9 +85,7 @@ class DependencySpec:
     b3_terms: Union[np.ndarray, str]
 
     def __init__(self, m, marginals, neighborhoods, pair_expectations, b3_terms):
-        m = _as_int(m, "index set size m")
-        if m < 1:
-            raise ValueError(f"index set size m must be >= 1, got {m}")
+        m = _index_set_size(m)
         p = _float_array(marginals, "marginals")
         if p.size != m:
             raise ValueError(f"expected {m} marginals, got {p.size}")
@@ -165,11 +164,21 @@ def _csr_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
 
 
-def _as_int(raw, name: str) -> int:
+def _index_set_size(raw) -> int:
+    """``raw`` as an index-set size m >= 1; a bool or a non-integral number
+    is refused, not truncated."""
     try:
-        return int(raw)
+        m = int(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        m = 0
+    if m < 1 or isinstance(raw, bool) or isinstance(raw, float) and m != raw:
+        raise InputError("m", f"index set size m must be an integer >= 1, got {raw!r}")
+    return m
+
+
+def _check_sum_p_squared(value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InputError("sum_p_squared", f"sum_p_squared must be finite and >= 0, got {value}")
 
 
 def _float_array(raw, name: str) -> np.ndarray:
@@ -193,12 +202,20 @@ def _neighbourhood_csr(neighborhoods, m: int) -> tuple:
     try:
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=m)
         flat = np.fromiter(
-            itertools.chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum())
+            itertools.chain.from_iterable(rows), dtype=np.float64, count=int(sizes.sum())
         )
     except (TypeError, ValueError, OverflowError):
         raise ValueError("each neighbourhood must be a list of integer indices") from None
 
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
+    fractional = owner[np.trunc(flat) != flat]  # an infinity is out of range below
+    # A bool reads as 0 or 1, so only the rows holding 0 or 1 can hold one.
+    low = owner[(flat == 0.0) | (flat == 1.0)].tolist()
+    a = int(fractional[0]) if fractional.size else next(
+        (a for a in low if bool in set(map(type, rows[a]))), None
+    )
+    if a is not None:
+        raise ValueError(f"neighbourhood B_{a} has non-integer indices")
     has_self = np.zeros(m, dtype=bool)
     has_self[owner[flat == owner]] = True
     lacking = np.flatnonzero(~has_self)[:1]
@@ -209,7 +226,7 @@ def _neighbourhood_csr(neighborhoods, m: int) -> tuple:
             raise ValueError(f"neighbourhood B_{a} must contain {a} itself")
         raise ValueError(f"neighbourhood B_{a} has out-of-range indices")
 
-    keys = np.sort(owner * m + flat)
+    keys = np.sort(owner * m + flat.astype(np.int64))
     owner, flat = np.divmod(keys[_first_of_runs(keys)], m)
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=m), out=indptr[1:])
@@ -223,8 +240,8 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _pair_table(pairs) -> np.ndarray:
-    """A (k, 3) float array of [a, b, p_ab] rows from a mapping or triples."""
+def _pair_table(pairs) -> tuple:
+    """The [a, b, p_ab] entries of a mapping or of triples, and a (k, 3) array of them."""
     if isinstance(pairs, Mapping):
         try:
             pairs = [(*key, value) for key, value in pairs.items()]
@@ -233,7 +250,7 @@ def _pair_table(pairs) -> np.ndarray:
     try:
         if set(map(len, pairs)) <= {3}:
             flat = itertools.chain.from_iterable(pairs)
-            return np.fromiter(flat, dtype=np.float64, count=3 * len(pairs)).reshape(-1, 3)
+            return pairs, np.fromiter(flat, dtype=np.float64, count=3 * len(pairs)).reshape(-1, 3)
     except (TypeError, ValueError, OverflowError):
         pass
     for entry in pairs if isinstance(pairs, (list, tuple)) else ():
@@ -254,7 +271,8 @@ def _pair_moments(pairs, p: np.ndarray, indptr: np.ndarray, indices: np.ndarray)
     every off-diagonal entry is looked up among the sorted keys.
     """
     m = p.size
-    a_raw, b_raw, value = _pair_table(pairs).T
+    entries, table = _pair_table(pairs)
+    a_raw, b_raw, value = table.T
     inside = (a_raw >= 0) & (a_raw < m) & (b_raw >= 0) & (b_raw < m)
     if not inside.all():
         i = int(np.argmin(inside))
@@ -262,6 +280,14 @@ def _pair_moments(pairs, p: np.ndarray, indptr: np.ndarray, indices: np.ndarray)
             f"pair expectation ({a_raw[i]:g},{b_raw[i]:g}) has out-of-range indices"
         )
     a, b = a_raw.astype(np.int64), b_raw.astype(np.int64)
+    fractional = np.flatnonzero((a != a_raw) | (b != b_raw))
+    # A bool reads as 0 or 1, so only the entries with such an index can hold one.
+    low = np.flatnonzero(np.minimum(a, b) <= 1).tolist()
+    i = int(fractional[0]) if fractional.size else next(
+        (i for i in low if bool in set(map(type, itertools.islice(entries[i], 2)))), None
+    )
+    if i is not None:
+        raise ValueError(f"pair expectation {entries[i]} has non-integer indices")
     diagonal = np.flatnonzero(a == b)
     if diagonal.size:
         i = int(diagonal[0])
@@ -314,7 +340,7 @@ def dependency_spec_from_dict(doc: Mapping) -> DependencySpec:
     if not isinstance(doc, Mapping):
         raise ValueError("dependency spec document must be a JSON object")
     try:
-        m = _as_int(doc["m"], "m")
+        m = _index_set_size(doc["m"])
         marginals = _indexed_field(doc["marginals"], m, "marginals")
         neighborhoods = _indexed_field(doc["neighborhoods"], m, "neighborhoods")
         triples = doc["pair_expectations"]
@@ -349,6 +375,7 @@ class ChenSteinCoefficients:
     n = 100 (with lam^2 ~ 1e50 against 2^-100) stays representable.  The
     index-set size is ``m`` for sizes that fit an int, or ``log2_m`` for
     huge index sets such as the 2^n cube vertices; exactly one is set.
+    Each field is range-checked; a refusal is an InputError naming it.
     """
 
     b1: LogScalar
@@ -361,16 +388,20 @@ class ChenSteinCoefficients:
     def __post_init__(self):
         for name in ("b1", "b2", "b3", "lam"):
             value = getattr(self, name)
-            if not isinstance(value, LogScalar):
-                object.__setattr__(self, name, LogScalar.from_float(value))
-            if getattr(self, name).sign < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not isinstance(value, LogScalar) and value == value:  # not NaN
+                value = LogScalar.from_float(value)
+                object.__setattr__(self, name, value)
+            if not isinstance(value, LogScalar) or value.sign < 0 or value.logmag == math.inf:
+                message = f"{name} must be finite and non-negative, got {float(value)}"
+                raise InputError(name, message)
         if self.lam.sign == 0:
-            raise ValueError("lam must be positive")
+            raise InputError("lam", "lam must be positive")
         if (self.m is None) == (self.log2_m is None):
-            raise ValueError("exactly one of m and log2_m must be given")
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+            raise InputError("m", "exactly one of m and log2_m must be given")
+        if self.m is not None:
+            object.__setattr__(self, "m", _index_set_size(self.m))
+        elif not 1.0 <= self.log2_m < math.inf:
+            raise InputError("log2_m", f"log2_m must be finite and >= 1, got {self.log2_m}")
 
     @property
     def log_m(self) -> float:
@@ -441,7 +472,8 @@ class MomentSummary:
 
     Only lam = sum p_i, sum p_i^2 and the index-set size m are needed by the
     independent-case bounds, so huge systems (n up to 1e12 in the arithmetic
-    model) never have to be materialised.
+    model) never have to be materialised.  A refusal is an InputError naming
+    the field (``theta`` when sum_p_squared exceeds lam).
     """
 
     lam: float
@@ -449,16 +481,12 @@ class MomentSummary:
     m: int
 
     def __post_init__(self):
-        if not self.lam > 0.0 or math.isinf(self.lam):
-            raise ValueError(f"lam must lie in (0, inf), got {self.lam}")
-        if not (math.isfinite(self.sum_p_squared) and self.sum_p_squared >= 0.0):
-            raise ValueError(
-                f"sum_p_squared must be finite and >= 0, got {self.sum_p_squared}"
-            )
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        _check_lambda(self.lam)
+        _check_sum_p_squared(self.sum_p_squared)
+        object.__setattr__(self, "m", _index_set_size(self.m))
         if self.theta > 1.0 + 1e-12:
-            raise ValueError(
+            raise InputError(
+                "theta",
                 f"theta = sum_p_squared/lam = {self.theta} exceeds 1; "
                 "not a probability system"
             )
@@ -497,10 +525,8 @@ def log_bh_factor(log_lam: float) -> float:
 
 def tv_upper_barbour_hall(lam: float, sum_p_squared: float) -> float:
     """Barbour-Hall upper bound ((1 - e^-lam)/lam) * sum p_i^2."""
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if sum_p_squared < 0.0:
-        raise ValueError("sum_p_squared must be >= 0")
+    _check_lambda(lam)
+    _check_sum_p_squared(sum_p_squared)
     if sum_p_squared == 0.0:
         return 0.0
     return math.exp(log_bh_factor(math.log(lam)) + math.log(sum_p_squared))
@@ -508,17 +534,14 @@ def tv_upper_barbour_hall(lam: float, sum_p_squared: float) -> float:
 
 def tv_lower_barbour_hall(lam: float, sum_p_squared: float) -> float:
     """Barbour-Hall lower bound (1/32) min(1, 1/lam) * sum p_i^2."""
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if sum_p_squared < 0.0:
-        raise ValueError("sum_p_squared must be >= 0")
+    _check_lambda(lam)
+    _check_sum_p_squared(sum_p_squared)
     return (1.0 / 32.0) * min(1.0, 1.0 / lam) * sum_p_squared
 
 
 def tv_upper_lecam(sum_p_squared: float) -> float:
     """Le Cam's bound: d_TV <= sum p_i^2 (may exceed 1; reported as-is)."""
-    if sum_p_squared < 0.0:
-        raise ValueError("sum_p_squared must be >= 0")
+    _check_sum_p_squared(sum_p_squared)
     return sum_p_squared
 
 

@@ -10,6 +10,7 @@ fields are nats unless ``--bits`` asks for a display-time conversion.
 Exit codes: 0 success, 2 usage or input error, 3 a bound's hypothesis
 failed (the inequality and its actual value are printed), 1 when the
 reader closes stdout before the document is written (a broken pipe).
+The library checks every range; this module parses text and names flags.
 """
 
 from __future__ import annotations
@@ -35,32 +36,51 @@ from .bounds import (
 )
 from .chenstein import (
     ChenSteinCoefficients,
-    DependencySpec,
     coefficients_from_spec,
     coefficients_independent,
     dependency_spec_from_dict,
     tv_bound_report,
 )
 from .exact import BernoulliSystem, exact_distribution, pmf_entropy, tv_to_poisson
-from .logspace import LogScalar
 from .models import (
-    MC_MAX_DIMENSION,
-    MC_MAX_REPLICATES,
     hypercube_coefficients,
     hypercube_monte_carlo,
     reproduce_example1,
     reproduce_table1,
 )
-from .poisson import poisson_entropy, poisson_entropy_asymptotic, poisson_entropy_series
+from .poisson import (
+    InputError,
+    _check_tol,
+    poisson_entropy,
+    poisson_entropy_asymptotic,
+    poisson_entropy_series,
+)
 
 _LN2 = math.log(2.0)
 _LOG_FLOOR = 1e-300  # below this magnitude a log_value companion is attached
 
 _RULES = ("theorem4", "corollary", "proposition", "best")
 
-# Largest accepted ``hypercube --n``: the exact binomials C(n, k) take about
-# 10 ms at n = 1e4 but 0.57 s at 1e5 and 4.5 s at 3e5.
-_HYPERCUBE_MAX_N = 10_000
+# The flag that carries each library field, one table per input source.
+_MOMENT_FLAGS = {
+    "lam": "--lambda",
+    "sum_p_squared": "--sum-p2",
+    "m": "--m",
+    "theta": "--sum-p2 against --lambda",
+}
+_COEFF_FLAGS = {
+    "b1": "--coeffs field b1",
+    "b2": "--coeffs field b2",
+    "b3": "--coeffs field b3",
+    "lam": "--coeffs field lambda",
+    "log2_m": "--coeffs field log2m",
+}
+_HYPERCUBE_FLAGS = {
+    "n": "--n",
+    "k": "--k against --n",
+    "replicates": "--replicates",
+    "master_seed": "--seed",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -219,96 +239,58 @@ def _render(doc, fmt, bits):
 # ---------------------------------------------------------------------------
 
 
-def _parse_probs(spec: str) -> BernoulliSystem:
-    if os.path.isfile(spec):
-        try:
-            with open(spec, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValueError(f"--probs file cannot be read: {exc}") from None
-    else:
-        text = spec
+def _flagged(flags: dict, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a refused field named by its flag."""
+    try:
+        return build(*args, **kwargs)
+    except InputError as exc:
+        raise ValueError(f"{flags[exc.field]}: {exc}") from None
+
+
+def _number(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{flag} is not a number: {text!r}") from None
+
+
+def _parse_probs(text: str) -> list:
+    if os.path.isfile(text):
+        with open(text, "r", encoding="utf-8") as handle:
+            text = handle.read()
     tokens = text.replace(",", " ").split()
     if not tokens:
-        raise ValueError("no probabilities found in --probs input")
-    try:
-        system = BernoulliSystem([float(tok) for tok in tokens])
-    except ValueError as exc:
-        raise ValueError(f"--probs: {exc}") from None
-    if not system.lam > 0.0:
-        raise ValueError("--probs must have a positive sum (lambda > 0)")
-    return system
-
-
-def _parse_m(text: str) -> int:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    # isfinite first: int() of an infinity raises OverflowError, not ValueError.
-    if not (math.isfinite(value) and value >= 1 and value == int(value)):
-        raise ValueError(f"--m must be a positive integer, got {text}")
-    return int(value)
+        raise ValueError("no probabilities found")
+    return [float(tok) for tok in tokens]
 
 
 def _parse_moments(args) -> MomentSummary:
     if args.lam is None or args.sum_p2 is None or args.m is None:
         raise ValueError("--independent requires --lambda, --sum-p2 and --m")
-    if not (math.isfinite(args.lam) and args.lam > 0.0):
-        raise ValueError(f"--lambda must be finite and > 0, got {args.lam}")
-    if not (math.isfinite(args.sum_p2) and args.sum_p2 >= 0.0):
-        raise ValueError(f"--sum-p2 must be finite and >= 0, got {args.sum_p2}")
-    m = _parse_m(args.m)
+    return _flagged(
+        _MOMENT_FLAGS, MomentSummary,
+        lam=args.lam, sum_p_squared=args.sum_p2, m=_number("--m", args.m),
+    )
+
+
+def _load_spec(path: str) -> tuple:
+    """(coefficients, spec) of the spec file ``path``; refusals name --spec and the path."""
     try:
-        return MomentSummary(lam=args.lam, sum_p_squared=args.sum_p2, m=m)
-    except ValueError as exc:
-        # Each field is in range, so the joint check sum p^2 <= lambda failed.
-        raise ValueError(f"--sum-p2 {args.sum_p2} against --lambda {args.lam}: {exc}") from None
-
-
-def _load_spec(path: str) -> DependencySpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return dependency_spec_from_dict(doc)
-
-
-# The --coeffs fields in order, each with its lower limit and whether the
-# limit itself is allowed.
-_COEFF_FIELDS = (
-    ("b1", 0.0, True),
-    ("b2", 0.0, True),
-    ("b3", 0.0, True),
-    ("lambda", 0.0, False),
-    ("log2m", 1.0, True),
-)
+        with open(path, "r", encoding="utf-8") as handle:
+            spec = dependency_spec_from_dict(json.load(handle))
+        return coefficients_from_spec(spec), spec
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"--spec {path}: {exc}") from None
 
 
 def _parse_coeffs(text: str) -> ChenSteinCoefficients:
     tokens = text.split(",")
-    if len(tokens) != len(_COEFF_FIELDS):
+    if len(tokens) != len(_COEFF_FLAGS):
         raise ValueError(
             f"--coeffs expects 5 values b1,b2,b3,lambda,log2m, got {len(tokens)}"
         )
-    values = []
-    for (name, limit, closed), token in zip(_COEFF_FIELDS, tokens):
-        try:
-            value = float(token)
-        except ValueError:
-            raise ValueError(f"--coeffs field {name} is not a number: {token!r}") from None
-        if not (math.isfinite(value) and (value >= limit if closed else value > limit)):
-            raise ValueError(
-                f"--coeffs field {name} must be finite and "
-                f"{'>=' if closed else '>'} {limit:g}, got {token.strip()}"
-            )
-        values.append(value)
-    b1, b2, b3, lam, log2m = values
-    return ChenSteinCoefficients(
-        b1=LogScalar.from_float(b1),
-        b2=LogScalar.from_float(b2),
-        b3=LogScalar.from_float(b3),
-        lam=LogScalar.from_float(lam),
-        log2_m=log2m,
-    )
+    values = map(_number, _COEFF_FLAGS.values(), tokens)
+    return _flagged(_COEFF_FLAGS, ChenSteinCoefficients, **dict(zip(_COEFF_FLAGS, values)))
 
 
 def _bound_inputs(args):
@@ -325,8 +307,7 @@ def _bound_inputs(args):
     if args.independent:
         return _parse_moments(args), None, None
     if args.spec is not None:
-        spec = _load_spec(args.spec)
-        return None, coefficients_from_spec(spec), spec
+        return None, *_load_spec(args.spec)
     return None, _parse_coeffs(args.coeffs), None
 
 
@@ -336,20 +317,12 @@ def _bound_inputs(args):
 
 
 def _cmd_poisson_entropy(args):
-    if not (math.isfinite(args.lam) and args.lam > 0.0):
-        raise ValueError(f"--lambda must be finite and > 0, got {args.lam}")
-    try:
-        if args.method == "series":
-            value = poisson_entropy_series(args.lam, tol=args.tol)
-        elif args.method == "asymptotic":
-            value = poisson_entropy_asymptotic(args.lam)
-        else:
-            value = poisson_entropy(args.lam, tol=args.tol)
-    except ValueError as exc:
-        # Each route's range of lambda is the routine's to state.
-        raise ValueError(
-            f"--lambda {args.lam!r} is outside --method {args.method}: {exc}"
-        ) from None
+    flags = {"lam": f"--lambda {args.lam!r} under --method {args.method}"}
+    if args.method == "asymptotic":
+        value = _flagged(flags, poisson_entropy_asymptotic, args.lam)
+    else:
+        route = poisson_entropy_series if args.method == "series" else poisson_entropy
+        value = _flagged(flags, route, args.lam, tol=args.tol)
     notes = []
     if value.method == "asymptotic":
         notes.append("certified_abs_error of the asymptotic route is heuristic")
@@ -420,10 +393,14 @@ def _cmd_tv_bounds(args):
 
 
 def _cmd_exact(args):
-    system = _parse_probs(args.probs)
-    pmf = exact_distribution(system)
+    try:
+        system = BernoulliSystem(_parse_probs(args.probs))
+        pmf = exact_distribution(system)
+        tv = tv_to_poisson(pmf, system.lam, tol=args.tol)
+    except (OSError, ValueError) as exc:
+        # Every field of this input source is the --probs list.
+        raise ValueError(f"--probs: {exc}") from None
     entropy = pmf_entropy(pmf)
-    tv = tv_to_poisson(pmf, system.lam, tol=args.tol)
     results = {
         "n": system.n,
         "lambda": _num(system.lam, "dimensionless"),
@@ -437,26 +414,6 @@ def _cmd_exact(args):
     return _document(args, results)
 
 
-def _check_hypercube_args(args):
-    if not 1 <= args.n <= _HYPERCUBE_MAX_N:
-        raise ValueError(f"--n must lie in 1..{_HYPERCUBE_MAX_N}, got {args.n}")
-    if not 0 <= args.k <= args.n:
-        raise ValueError(f"--k must lie in 0..n (--n {args.n}), got {args.k}")
-    if not args.simulate:
-        return
-    if args.n > MC_MAX_DIMENSION:
-        raise ValueError(
-            f"--simulate materialises 2^n vertices and needs --n <= "
-            f"{MC_MAX_DIMENSION}, got {args.n}"
-        )
-    if not 1 <= args.replicates <= MC_MAX_REPLICATES:
-        raise ValueError(
-            f"--replicates must lie in 1..{MC_MAX_REPLICATES}, got {args.replicates}"
-        )
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-
-
 def _env_threads() -> int:
     """The POIENTROPY_THREADS simulation thread count; below 1 means 1."""
     text = os.environ.get("POIENTROPY_THREADS", "1")
@@ -467,8 +424,7 @@ def _env_threads() -> int:
 
 
 def _cmd_hypercube(args):
-    _check_hypercube_args(args)
-    coeffs = hypercube_coefficients(args.n, args.k)
+    coeffs = _flagged(_HYPERCUBE_FLAGS, hypercube_coefficients, args.n, args.k)
     results = {
         "lambda": _num(coeffs.lam.to_float(), "dimensionless", coeffs.lam.logmag),
         "b1": _num(coeffs.b1.to_float(), "dimensionless", coeffs.b1.logmag),
@@ -479,8 +435,9 @@ def _cmd_hypercube(args):
     notes = []
     conditions = None
     if args.simulate:
-        mc = hypercube_monte_carlo(
-            args.n, args.k, args.replicates, args.seed, threads=_env_threads()
+        mc = _flagged(
+            _HYPERCUBE_FLAGS, hypercube_monte_carlo,
+            args.n, args.k, args.replicates, args.seed, threads=_env_threads(),
         )
         results["simulation"] = {
             "replicates": mc.replicates,
@@ -652,8 +609,7 @@ def main(argv=None) -> int:
     }
 
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+        _flagged({"tol": "--tol"}, _check_tol, args.tol)
         doc = args.handler(args)
     except (ConditionViolated, NoApplicableBound) as exc:
         doc = {

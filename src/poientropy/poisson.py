@@ -70,17 +70,25 @@ class EntropyValue:
             raise ValueError("certified_abs_error must be >= 0")
 
 
+class InputError(ValueError):
+    """An argument outside its valid range; ``field`` names the argument."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
     if not (lam > 0.0) or math.isinf(lam):
-        raise ValueError(f"Poisson mean must lie in (0, inf), got {lam}")
+        raise InputError("lam", f"Poisson mean must lie in (0, inf), got {lam}")
     return lam
 
 
 def _check_tol(tol: float) -> float:
     tol = float(tol)
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+        raise InputError("tol", f"tol must be finite and > 0, got {tol}")
     return tol
 
 
@@ -222,7 +230,8 @@ def poisson_entropy_series(lam: float, tol: float = 1e-9) -> EntropyValue:
     lam = _check_lambda(lam)
     tol = _check_tol(tol)
     if lam > SERIES_LAMBDA_CEILING:
-        raise ValueError(
+        raise InputError(
+            "lam",
             f"series evaluation rejected for lam={lam:g} > ceiling {SERIES_LAMBDA_CEILING:g}; "
             "use poisson_entropy_asymptotic"
         )
@@ -266,7 +275,7 @@ def poisson_entropy_asymptotic(lam: float) -> EntropyValue:
     """
     lam = _check_lambda(lam)
     if lam < 1.0:
-        raise ValueError(f"asymptotic expansion requires lam >= 1, got {lam}")
+        raise InputError("lam", f"asymptotic expansion requires lam >= 1, got {lam}")
     return _poisson_entropy_log_mean(math.log(lam))
 
 

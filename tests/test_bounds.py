@@ -165,6 +165,14 @@ class TestGeneralBound:
         with pytest.raises(ConditionViolated, match="lambda"):
             entropy_bound_general(_coeffs(b1=1e-4, lam=5.0, m=3))
 
+    def test_single_index_set_is_refused_by_its_hypothesis(self):
+        # lam <= m - 1 = 0 cannot hold, so m = 1 is a refusal, not an error.
+        coeffs = coefficients_independent(MomentSummary(lam=0.5, sum_p_squared=0.1, m=1))
+        with pytest.raises(ConditionViolated) as info:
+            entropy_bound_general(coeffs)
+        lam_check = next(c for c in info.value.checks if c.name == "lambda")
+        assert (lam_check.required, lam_check.actual, lam_check.satisfied) == (0.0, 0.5, False)
+
     def test_condition_error_carries_actual_values(self):
         try:
             entropy_bound_general(_coeffs(b1=1.0, lam=1.0, m=100))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from poientropy.chenstein import (
     ChenSteinCoefficients,
     DependencySpec,
+    MomentSummary,
     coefficients_from_spec,
     coefficients_independent,
     dependency_spec_from_dict,
@@ -145,6 +146,52 @@ class TestCoefficients:
                 b1=LogScalar.from_float(-1.0), b2=LogScalar.zero(),
                 b3=LogScalar.zero(), lam=LogScalar.one(), m=4,
             )
+
+
+def _refused_field(build, **fields) -> str:
+    with pytest.raises(ValueError) as info:
+        build(**fields)
+    return info.value.field
+
+
+class TestInputRefusals:
+    """Each range rule is the value type's; a refusal names its field."""
+
+    _VALID = {"b1": 0.1, "b2": 0.0, "b3": 0.0, "lam": 2.0}
+
+    @pytest.mark.parametrize("field", ["b1", "b2", "b3", "lam"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, LogScalar.from_log(math.inf)]
+    )
+    def test_coefficient_must_be_finite(self, field, value):
+        fields = {**self._VALID, field: value, "m": 10}
+        assert _refused_field(ChenSteinCoefficients, **fields) == field
+
+    @pytest.mark.parametrize("log2_m", [0.0, 0.5, math.nan, math.inf])
+    def test_log2_m_must_be_finite_and_at_least_one(self, log2_m):
+        assert _refused_field(ChenSteinCoefficients, **self._VALID, log2_m=log2_m) == "log2_m"
+
+    @pytest.mark.parametrize("m", [2.5, True, math.inf, 0])
+    def test_m_must_be_an_integer_index_set_size(self, m):
+        assert _refused_field(ChenSteinCoefficients, **self._VALID, m=m) == "m"
+        assert _refused_field(MomentSummary, lam=1.0, sum_p_squared=0.1, m=m) == "m"
+
+    def test_integral_float_m_is_stored_as_int(self):
+        assert ChenSteinCoefficients(**self._VALID, m=1e8).m == 10**8
+        moments = MomentSummary(lam=1.0, sum_p_squared=0.1, m=1e15)
+        assert moments.m == 10**15 and isinstance(moments.m, int)
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"lam": math.nan, "sum_p_squared": 0.0}, "lam"),
+            ({"lam": math.inf, "sum_p_squared": 0.0}, "lam"),
+            ({"lam": 1.0, "sum_p_squared": math.nan}, "sum_p_squared"),
+            ({"lam": 1.0, "sum_p_squared": 2.0}, "theta"),
+        ],
+    )
+    def test_moment_summary_names_the_field(self, fields, field):
+        assert _refused_field(MomentSummary, **fields, m=10) == field
 
 
 class TestBarbourHallAndLeCam:
@@ -337,6 +384,19 @@ class TestSpecValidation:
               "pair_expectations": [[0, 1, 10**400]], "b3": "zero"}, r"\[a, b, value\]"),
             ({"m": 1, "marginals": [0.5], "neighborhoods": [[0]],
               "pair_expectations": [], "b3": [10**400]}, "b3_terms"),
+            # Non-integral numbers and booleans are refused, not truncated.
+            ({"m": 2.9, "marginals": [0.5, 0.5], "neighborhoods": [[0], [1]],
+              "pair_expectations": [], "b3": "zero"}, "m must be an integer"),
+            ({"m": True, "marginals": [0.5], "neighborhoods": [[0]],
+              "pair_expectations": [], "b3": "zero"}, "m must be an integer"),
+            ({"m": 3, "marginals": [0.1] * 3, "neighborhoods": [[0, 1.7], [1], [2]],
+              "pair_expectations": [[0, 1, 0.01]], "b3": "zero"}, "B_0 has non-integer"),
+            ({"m": 3, "marginals": [0.1] * 3, "neighborhoods": [[0], [True], [2]],
+              "pair_expectations": [], "b3": "zero"}, "B_1 has non-integer"),
+            ({"m": 3, "marginals": [0.1] * 3, "neighborhoods": [[0, 1], [0, 1], [2]],
+              "pair_expectations": [[0, 1.2, 0.01]], "b3": "zero"}, "non-integer indices"),
+            ({"m": 3, "marginals": [0.1] * 3, "neighborhoods": [[0, 1], [0, 1], [2]],
+              "pair_expectations": [[False, True, 0.01]], "b3": "zero"}, "non-integer indices"),
         ],
     )
     def test_malformed_documents_raise_value_error(self, doc, field):

@@ -183,6 +183,49 @@ class TestEntropyBoundCommand:
         code, _, _ = run_cli(capsys, "entropy-bound", "--spec", str(path))
         assert code == 2
 
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run_cli(capsys, "tv-bounds", "--spec", str(path))
+        assert code == 2
+        assert f"--spec {path}" in err
+
+    @pytest.mark.parametrize("rule", ["theorem4", "corollary", "best"])
+    def test_single_index_moments_fail_the_lambda_hypothesis(self, capsys, rule):
+        code, out, _ = run_cli(
+            capsys, "entropy-bound", "--independent", "--lambda", "0.5",
+            "--sum-p2", "0.1", "--m", "1", "--rule", rule, "--format", "machine",
+        )
+        assert code == 3
+        assert "lambda <= 0 violated" in json.loads(out)["error"]
+
+    def test_single_index_spec_fails_the_lambda_hypothesis(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({"m": 1, "marginals": [0.1], "neighborhoods": [[0]],
+                        "pair_expectations": [], "b3": "zero"})
+        )
+        code, out, _ = run_cli(
+            capsys, "entropy-bound", "--spec", str(path), "--format", "machine"
+        )
+        assert code == 3
+        assert "lambda <= 0 violated" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 2.9), ("m", True), ("neighborhoods", [[0, 1.7], [1], [2]]),
+         ("pair_expectations", [[0, 1.2, 0.001]])],
+    )
+    def test_non_integral_spec_value_names_spec_and_path(self, capsys, tmp_path, field, value):
+        doc = {"m": 3, "marginals": [0.05] * 3, "neighborhoods": [[0, 1], [0, 1], [2]],
+               "pair_expectations": [[0, 1, 0.001]], "b3": "zero"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**doc, field: value}))
+        for command in ("entropy-bound", "tv-bounds"):
+            code, _, err = run_cli(capsys, command, "--spec", str(path))
+            assert code == 2
+            assert f"--spec {path}" in err
+
     @pytest.mark.parametrize(
         "coeffs, field",
         [
@@ -648,8 +691,10 @@ class TestCliFuzz:
     def test_spec_input_never_raises(self, tmp_path, command, fmt, text):
         path = tmp_path / "spec.json"
         path.write_text(text, encoding="utf-8")
-        code, _, _ = _run_quietly([command, "--spec", str(path), "--format", fmt])
+        code, _, err = _run_quietly([command, "--spec", str(path), "--format", fmt])
         assert code in (0, 2, 3)
+        if code == 2:
+            assert f"--spec {path}" in err
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -7,6 +7,7 @@ import pytest
 
 from poientropy.bounds import entropy_bound_general
 from poientropy.models import (
+    HYPERCUBE_MAX_N,
     MC_MAX_DIMENSION,
     MC_MAX_REPLICATES,
     _edge_tables,
@@ -123,6 +124,13 @@ class TestHypercubeCoefficients:
         with pytest.raises(ValueError):
             hypercube_coefficients(10, 11)
 
+    def test_dimension_cap_names_the_field(self):
+        assert HYPERCUBE_MAX_N == 10_000
+        hypercube_coefficients(HYPERCUBE_MAX_N, 1)
+        with pytest.raises(ValueError) as info:
+            hypercube_coefficients(HYPERCUBE_MAX_N + 1, 1)
+        assert info.value.field == "n"
+
 
 class TestHypercubeMonteCarlo:
     @pytest.mark.parametrize(
@@ -204,6 +212,11 @@ class TestHypercubeMonteCarlo:
             hypercube_monte_carlo(4, 5, 10, master_seed=0)
         with pytest.raises(ValueError):
             hypercube_monte_carlo(4, 2, 0, master_seed=0)
+
+    def test_negative_seed_names_the_field(self):
+        with pytest.raises(ValueError) as info:
+            hypercube_monte_carlo(4, 2, 10, master_seed=-1)
+        assert info.value.field == "master_seed"
 
     def test_note_disclaims_certificate_checking(self):
         mc = hypercube_monte_carlo(4, 4, 1_000, master_seed=0)
