@@ -57,15 +57,19 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# Vertices per counting block of the simulator: at most 255, so that a
+# block's per-replicate uint8 match count cannot wrap.
+_COUNT_ROWS = 64
+
 # Replicates per RNG chunk.  Fixed as part of the determinism contract: each
 # chunk draws from SeedSequence(master_seed, chunk_index), so results are
 # bit-identical no matter how many threads process the chunks.
 _MC_CHUNK = 4096
 
-# A chunk holds n 2^(n-1) coin words per 64 replicates (268 MB at n = 16),
-# then as many bytes again to unpack the per-vertex matches; its peak RSS is
-# about 0.55 GB at n = 16, and the same arithmetic puts n = 17 past 1 GiB.
-# Each thread runs its own chunk.
+# Each simulating thread holds (n.bit_length() + 2) 2^n scratch words per 64
+# replicates (outdegree bit-planes, carry and spill: 224 MiB at n = 16) and
+# one dimension's 2^(n-1) coin words (16 MiB).  One n = 16 chunk peaks at
+# 0.29 GB of RSS and takes about a second; n = 17 would double both.
 MC_MAX_DIMENSION = 16
 
 # Largest accepted replicate count: 1e8 replicates already take hours at
@@ -78,21 +82,47 @@ MC_MAX_REPLICATES = 10**8
 HYPERCUBE_MAX_N = 10_000
 
 
+def _integer(raw, name: str) -> int:
+    """``raw`` as an int; a bool or a non-integral number is refused with an
+    InputError naming ``name``, not truncated (30.0 is accepted as 30)."""
+    if type(raw) is int:
+        return raw
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != raw or isinstance(raw, (bool, np.bool_)):
+        raise InputError(name, f"{name} must be an integer, got {raw!r}")
+    return value
+
+
+def _cube_order(n, k, limit: int, why: str = "") -> tuple:
+    """(n, k) as ints with 1 <= n <= limit and 0 <= k <= n; ``why`` leads
+    the message that refuses n."""
+    n, k = _integer(n, "n"), _integer(k, "k")
+    if not 1 <= n <= limit:
+        raise InputError("n", f"{why}n must lie in 1..{limit}, got {n}")
+    if not 0 <= k <= n:
+        raise InputError("k", f"k must lie in 0..n, got k={k}, n={n}")
+    return n, k
+
+
 def arithmetic_moments(a: float, n: int) -> MomentSummary:
     """Closed-form moments of the system p_i = 2 a i, i = 1..n.
 
     lam = a n (n+1) and sum p_i^2 = theta lam with theta = 2 a (2n+1)/3.
-    Requires 2 a n <= 1 so the largest p_i is a probability.  The products
-    use exact integer factors, so nothing is lost to summation order even at
-    n = 1e12.
+    Requires an integer n >= 1 and 2 a n <= 1 so the largest p_i is a
+    probability; a refusal is an InputError naming ``a`` or ``n``.  The
+    products use exact integer factors, so nothing is lost to summation order
+    even at n = 1e12.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InputError("n", f"n must be >= 1, got {n}")
     if not a > 0.0:
-        raise ValueError(f"a must be > 0, got {a}")
+        raise InputError("a", f"a must be > 0, got {a}")
     if 2.0 * a * n > 1.0 + 1e-15:
-        raise ValueError(f"2 a n = {2.0 * a * n} exceeds 1; p_n is not a probability")
+        raise InputError("a", f"2 a n = {2.0 * a * n} exceeds 1; p_n is not a probability")
     lam = a * (n * (n + 1))
     theta = 2.0 * a * (2 * n + 1) / 3.0
     return MomentSummary(lam=lam, sum_p_squared=theta * lam, m=n)
@@ -104,14 +134,10 @@ def hypercube_coefficients(n: int, k: int) -> ChenSteinCoefficients:
     Exact big-integer binomials feed the log-domain scalars, so n = 100
     (lam^2 ~ 1e50 against 2^-100) is routine.  The empty-binomial convention
     C(n-1, -1) = C(n-1, n) = 0 makes the k = 0 and k = n rows well defined
-    with b2 = 0.  Requires 1 <= n <= HYPERCUBE_MAX_N and 0 <= k <= n; a
-    refusal is an InputError naming the field.
+    with b2 = 0.  Requires integers 1 <= n <= HYPERCUBE_MAX_N and
+    0 <= k <= n; a refusal is an InputError naming the field.
     """
-    n, k = int(n), int(k)
-    if not 1 <= n <= HYPERCUBE_MAX_N:
-        raise InputError("n", f"n must lie in 1..{HYPERCUBE_MAX_N}, got {n}")
-    if not 0 <= k <= n:
-        raise InputError("k", f"k must lie in 0..n, got k={k}, n={n}")
+    n, k = _cube_order(n, k, HYPERCUBE_MAX_N)
     c_nk = math.comb(n, k)
     lam = LogScalar.from_float(c_nk)
     b1 = LogScalar.from_float((n + 1) * c_nk * c_nk) * LogScalar.from_log(-n * _LN2)
@@ -144,61 +170,63 @@ class MonteCarloResult:
     note: str = field(default="", compare=False)
 
 
-def _edge_tables(n: int):
-    # For dimension d, canonical edge endpoints are vertices with bit d = 0;
-    # the edge index is the vertex index with bit d squeezed out.  The mask
-    # is all ones where bit d of the vertex is set, all zeros elsewhere.
-    size = 1 << n
-    v = np.arange(size, dtype=np.int64)
-    eidx = np.empty((n, size), dtype=np.int64)
-    vmask = np.empty((n, size, 1), dtype=np.int64)
-    for d in range(n):
-        low = v & ((1 << d) - 1)
-        high = v >> (d + 1)
-        eidx[d] = low | (high << d)
-        vmask[d, :, 0] = -((v >> d) & 1)
-    return eidx, vmask.view(np.uint64)
+def _mc_scratch(n: int, lanes: int) -> np.ndarray:
+    # One worker's planes, carry and spill for chunks of up to 64 * lanes
+    # replicates, as rows of (vertex, lane) words; a chunk with fewer lanes
+    # uses the leading words of each row.
+    return np.empty((n.bit_length() + 2, (1 << n) * lanes), dtype=np.uint64)
 
 
-def _mc_chunk_counts(n, k, eidx, vmask, chunk_size, seed_seq):
+def _mc_chunk_counts(n, k, chunk_size, seed_seq, scratch):
     # Bit-sliced: bit j of every uint64 word belongs to replicate 64 * lane + j,
     # so each word operation below advances 64 replicates at once.
     rng = np.random.default_rng(seed_seq)
     size = 1 << n
     lanes = -(-chunk_size // 64)
-    # Raw 64-bit generator outputs (the words rng.bytes would give, read as
-    # little-endian uint64): one fair coin per bit, one word per edge and lane.
-    coins = rng.integers(0, 1 << 64, size=(n, size >> 1, lanes), dtype=np.uint64)
     # Outdegree of every vertex as n.bit_length() bit-planes, least significant
-    # first; after d + 1 dimensions only (d + 1).bit_length() planes are live.
-    planes = np.zeros((n.bit_length(), size, lanes), dtype=np.uint64)
-    # Two scratch words per (vertex, lane), reused so that no dimension
-    # allocates (fresh pages cost more than the word operations here).
-    carry, spill = np.empty((2, size, lanes), dtype=np.uint64)
+    # first, then two words per (vertex, lane) for the carry.  All of them live
+    # in the worker's scratch, so no dimension and no chunk maps fresh pages
+    # (they cost more than the word operations here).
+    words = scratch[:, : size * lanes].reshape(-1, size, lanes)
+    planes, carry, spill = words[:-2], words[-2], words[-1]
     for d in range(n):
-        # Orientation bit XOR endpoint bit = "points outward from this vertex".
-        # Indices are in range; mode="clip" only skips the buffered copy that
-        # the default mode makes when given out=.
-        np.take(coins[d], eidx[d], axis=0, out=carry, mode="clip")
-        carry ^= vmask[d]
-        for plane in planes[: (d + 1).bit_length()]:
+        # Raw 64-bit generator outputs (the words rng.bytes would give, read
+        # as little-endian uint64): one fair coin per bit, one word per edge
+        # and lane.  Drawn a dimension at a time, they are the words of one
+        # (n, 2^(n-1), lanes) draw.  Edge e of dimension d joins the two
+        # vertices whose index is e with a bit inserted at position d.
+        edges = rng.integers(
+            0, 1 << 64, size=(size >> (d + 1), 1 << d, lanes), dtype=np.uint64
+        )
+        # Orientation bit XOR endpoint bit = "points outward from this vertex":
+        # the coin where bit d of the vertex is 0, its complement where it is 1.
+        halves = carry.reshape(size >> (d + 1), 2, 1 << d, lanes)
+        np.copyto(halves[:, 0], edges)
+        np.invert(edges, out=halves[:, 1])
+        # Ripple-carry add into the d.bit_length() planes that hold the
+        # outdegree over the first d dimensions; the plane that d + 1 first
+        # needs starts as the carry out of them.
+        live = d.bit_length()
+        for plane in planes[:live]:
             np.bitwise_and(plane, carry, out=spill)
             plane ^= carry
             carry, spill = spill, carry
-    # The unpacked match below takes 16/n times the coins' bytes; free those
-    # first so that the two never coexist (this sets MC_MAX_DIMENSION).
-    del coins, carry, spill
+        if (d + 1).bit_length() > live:
+            np.copyto(planes[live], carry)
     # A vertex matches when every outdegree bit equals the same bit of k.
     for j, plane in enumerate(planes):
         if not (k >> j) & 1:
             np.invert(plane, out=plane)
-    match = np.bitwise_and.reduce(planes, axis=0)
-    # W <= 2^n per replicate, so the narrowest dtype holding 2^n cannot wrap.
-    w = np.unpackbits(match.view(np.uint8), axis=1, bitorder="little").sum(
-        axis=0, dtype=np.min_scalar_type(size)
-    )
+    np.bitwise_and.reduce(planes, axis=0, out=carry)
+    # Count each replicate's matching vertices _COUNT_ROWS vertices at a time:
+    # a block's unpacked bits stay small, and its uint8 sums cannot wrap.
+    w = np.zeros(64 * lanes, dtype=np.int64)
+    match = carry.view(np.uint8)
+    for row in range(0, size, _COUNT_ROWS):
+        bits = np.unpackbits(match[row : row + _COUNT_ROWS], axis=1, bitorder="little")
+        w += np.add.reduce(bits, axis=0, dtype=np.uint8)
     # Bits past chunk_size pad the last lane; they are not replicates.
-    return np.bincount(w[:chunk_size], minlength=size + 1).astype(np.int64)
+    return np.bincount(w[:chunk_size], minlength=size + 1)
 
 
 def hypercube_monte_carlo(
@@ -221,15 +249,9 @@ def hypercube_monte_carlo(
     and the plug-in entropy with a jackknife standard error (plug-in bias is
     not quantified).  A refused argument raises an InputError naming it.
     """
-    n, k = int(n), int(k)
-    if not 1 <= n <= MC_MAX_DIMENSION:
-        raise InputError(
-            "n",
-            f"simulation materialises 2^n vertices (n 2^(n-1) coin words per "
-            f"64 replicates); need 1 <= n <= {MC_MAX_DIMENSION}, got {n}",
-        )
-    if not 0 <= k <= n:
-        raise InputError("k", f"k must lie in 0..n, got k={k}, n={n}")
+    n, k = _cube_order(
+        n, k, MC_MAX_DIMENSION, "simulation holds 2^n vertex words per 64 replicates; "
+    )
     if not 1 <= replicates <= MC_MAX_REPLICATES:
         raise InputError(
             "replicates", f"replicates must lie in 1..{MC_MAX_REPLICATES}, got {replicates}"
@@ -239,18 +261,19 @@ def hypercube_monte_carlo(
     if threads < 1:
         raise InputError("threads", f"threads must be >= 1, got {threads}")
 
-    eidx, vmask = _edge_tables(n)
     n_chunks = -(-replicates // _MC_CHUNK)
     workers = min(threads, n_chunks)
 
     def tally(first):
-        # Worker ``first`` runs chunks first, first + workers, ... and adds
-        # each chunk's counts into its own total as the chunk finishes.
+        # Worker ``first`` runs chunks first, first + workers, ... in one
+        # scratch and adds each chunk's counts into its own total as the chunk
+        # finishes.
         total = np.zeros((1 << n) + 1, dtype=np.int64)
+        scratch = _mc_scratch(n, -(-min(_MC_CHUNK, replicates) // 64))
         for i in range(first, n_chunks, workers):
             size = min(_MC_CHUNK, replicates - i * _MC_CHUNK)
             seed_seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(i,))
-            total += _mc_chunk_counts(n, k, eidx, vmask, size, seed_seq)
+            total += _mc_chunk_counts(n, k, size, seed_seq, scratch)
         return total
 
     # Integer sums do not depend on order, so the counts are the same bytes

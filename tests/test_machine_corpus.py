@@ -93,6 +93,11 @@ _HYPERCUBE = (
     (200, 199),
 )
 
+# (n, k, replicates, seed) of simulated orientation counts: one short chunk,
+# a full chunk and a short one, and two full chunks and a short one, so that
+# any change to the simulator's kernel must reproduce its counts exactly.
+_SIMULATE = ((3, 1, 100, 7), (6, 4, 5000, 2012), (9, 8, 8292, 321))
+
 
 def corpus_commands() -> list:
     """The corpus argv lists, in replay order."""
@@ -104,6 +109,11 @@ def corpus_commands() -> list:
         ["example1", *machine, "--tol", "1e-6"],
     ]
     commands += [["hypercube", "--n", str(n), "--k", str(k), *machine] for n, k in _HYPERCUBE]
+    commands += [
+        ["hypercube", "--n", str(n), "--k", str(k), "--simulate",
+         "--replicates", str(r), "--seed", str(seed), *machine]
+        for n, k, r, seed in _SIMULATE
+    ]
     for lam, sum_p2, m in _MOMENTS:
         source = ["--independent", "--lambda", lam, "--sum-p2", sum_p2, "--m", m]
         commands.append(["entropy-bound", *source, *machine])

@@ -10,14 +10,15 @@ from poientropy.models import (
     HYPERCUBE_MAX_N,
     MC_MAX_DIMENSION,
     MC_MAX_REPLICATES,
-    _edge_tables,
     _mc_chunk_counts,
+    _mc_scratch,
     arithmetic_moments,
     hypercube_coefficients,
     hypercube_monte_carlo,
     reproduce_example1,
     reproduce_table1,
 )
+from poientropy.poisson import InputError
 
 # Independent mpmath recomputation of the first arithmetic-system case.
 EX1_COROLLARY_EPS = 0.5878672480574357
@@ -81,6 +82,19 @@ class TestArithmeticMoments:
         with pytest.raises(ValueError):
             arithmetic_moments(-1e-3, 10)
 
+    @pytest.mark.parametrize(
+        "a,n,field",
+        [(0.2, 10, "a"), (-1e-3, 10, "a"), (0.1, 0, "n"), (0.01, 2.5, "n"),
+         (0.01, True, "n"), (0.01, math.nan, "n"), (0.01, math.inf, "n")],
+    )
+    def test_refusal_names_the_field(self, a, n, field):
+        with pytest.raises(InputError) as info:
+            arithmetic_moments(a, n)
+        assert info.value.field == field
+
+    def test_integral_float_n_is_accepted(self):
+        assert arithmetic_moments(1e-10, 1e8) == arithmetic_moments(1e-10, 10**8)
+
 
 class TestHypercubeCoefficients:
     def test_closed_forms_against_exact_rationals(self):
@@ -124,6 +138,23 @@ class TestHypercubeCoefficients:
         with pytest.raises(ValueError):
             hypercube_coefficients(10, 11)
 
+    @pytest.mark.parametrize(
+        "n,k,field",
+        [(2.5, 1, "n"), (2.5, 1.9, "n"), (3, 1.9, "k"), (True, False, "n"),
+         (3, np.True_, "k"), (math.nan, 1, "n"), (math.inf, 1, "n"), ("3", 1, "n")],
+    )
+    def test_non_integral_order_is_refused_not_truncated(self, n, k, field):
+        with pytest.raises(InputError) as info:
+            hypercube_coefficients(n, k)
+        assert info.value.field == field
+
+    def test_integral_floats_are_accepted(self):
+        lhs, rhs = hypercube_coefficients(30.0, 27.0), hypercube_coefficients(30, 27)
+        assert (lhs.lam.logmag, lhs.b1.logmag, lhs.b2.logmag) == (
+            rhs.lam.logmag, rhs.b1.logmag, rhs.b2.logmag
+        )
+        assert hypercube_coefficients(np.int64(12), np.int64(11)).lam.to_float() == 12.0
+
     def test_dimension_cap_names_the_field(self):
         assert HYPERCUBE_MAX_N == 10_000
         hypercube_coefficients(HYPERCUBE_MAX_N, 1)
@@ -158,14 +189,43 @@ class TestHypercubeMonteCarlo:
         threaded = hypercube_monte_carlo(6, 3, 50_000, master_seed=42, threads=4)
         assert np.array_equal(serial.counts, threaded.counts)
 
-    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
     @pytest.mark.parametrize("chunk_size", [1, 100, 4096])
     def test_bit_sliced_chunk_matches_per_replicate_reference(self, n, chunk_size):
-        eidx, vmask = _edge_tables(n)
+        scratch = _mc_scratch(n, 64)
         for k in range(n + 1):
             seq = np.random.SeedSequence(11, spawn_key=(k,))
-            got = _mc_chunk_counts(n, k, eidx, vmask, chunk_size, seq)
+            got = _mc_chunk_counts(n, k, chunk_size, seq, scratch)
             assert np.array_equal(got, _reference_chunk_counts(n, k, chunk_size, seq))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_reused_scratch_serves_a_short_last_chunk(self, threads):
+        # Three chunks (4096, 4096, 100 replicates): at one or two threads a
+        # worker runs a full chunk and then the short one in the same scratch.
+        n, k, replicates = 6, 4, 2 * 4096 + 100
+        fresh = sum(
+            _mc_chunk_counts(
+                n, k, size, np.random.SeedSequence(entropy=17, spawn_key=(i,)),
+                _mc_scratch(n, -(-size // 64)),
+            )
+            for i, size in enumerate((4096, 4096, 100))
+        )
+        mc = hypercube_monte_carlo(n, k, replicates, master_seed=17, threads=threads)
+        assert np.array_equal(mc.counts, fresh)
+
+    @pytest.mark.parametrize(
+        "n,k,field", [(4.5, 2, "n"), (4, 2.5, "k"), (True, 0, "n"), (4, False, "k")]
+    )
+    def test_non_integral_order_is_refused(self, n, k, field):
+        with pytest.raises(InputError) as info:
+            hypercube_monte_carlo(n, k, 10, master_seed=0)
+        assert info.value.field == field
+
+    def test_integral_float_order_is_accepted(self):
+        lhs = hypercube_monte_carlo(4.0, 2.0, 500, master_seed=1)
+        rhs = hypercube_monte_carlo(4, 2, 500, master_seed=1)
+        assert (lhs.n, lhs.k) == (4, 2)
+        assert np.array_equal(lhs.counts, rhs.counts)
 
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (6, 3), (6, 6)])
     @pytest.mark.parametrize("replicates", [100, 5000])
