@@ -12,8 +12,6 @@ from .bounds import (
     EntropyBoundReport,
     MomentSummary,
     NoApplicableBound,
-    a_of_lambda,
-    b_of_lambda,
     best_independent_bound,
     entropy_bound_general,
     entropy_bound_independent,
@@ -59,7 +57,6 @@ from .poisson import (
     poisson_entropy_asymptotic,
     poisson_entropy_series,
     poisson_log_pmf,
-    poisson_tail_bound,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +71,6 @@ __all__ = [
     # poisson
     "EntropyValue",
     "poisson_log_pmf",
-    "poisson_tail_bound",
     "poisson_entropy",
     "poisson_entropy_series",
     "poisson_entropy_asymptotic",
@@ -104,8 +100,6 @@ __all__ = [
     "ConditionViolated",
     "NoApplicableBound",
     "EntropyBoundReport",
-    "a_of_lambda",
-    "b_of_lambda",
     "g_of_p",
     "entropy_bound_general",
     "entropy_bound_independent",

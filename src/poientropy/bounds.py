@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .chenstein import (
     ChenSteinCoefficients,
@@ -46,9 +46,8 @@ from .chenstein import (
     coefficients_independent,
     log_bh_factor,
     log_tv_upper_agg,
-    tv_upper_agg,
 )
-from .logspace import LogScalar, log_sum_exp
+from .logspace import _saturating_exp, log_sum_exp
 from .poisson import (
     EntropyValue,
     _check_tol,
@@ -62,8 +61,6 @@ __all__ = [
     "ConditionViolated",
     "NoApplicableBound",
     "EntropyBoundReport",
-    "a_of_lambda",
-    "b_of_lambda",
     "g_of_p",
     "entropy_bound_general",
     "entropy_bound_independent",
@@ -146,31 +143,14 @@ class EntropyBoundReport:
     notes: str = field(default="", compare=False)
 
 
-def a_of_lambda(coeffs: ChenSteinCoefficients) -> float:
-    """a(lam): exactly twice the unclamped AGG total-variation bound."""
-    return 2.0 * tv_upper_agg(coeffs)
-
-
-def b_of_lambda(
-    lam: Union[float, LogScalar], m: Optional[int] = None, log2_m: Optional[float] = None
-) -> LogScalar:
-    """The support-truncation term b(lam), evaluated entirely in log space.
-
-    Returns a LogScalar so that the routine underflow (exponents like -1e8
-    for the worked models) keeps its log value instead of collapsing
-    silently to 0.0; callers convert with ``float()`` for display.  When
-    m - 1 < lam e the exponent turns positive and the value is returned as
-    the (possibly huge) number the formula gives - never an error, never
-    silently wrong.  ``lam``, ``m`` and ``log2_m`` are validated as
-    :class:`ChenSteinCoefficients` fields.
-    """
-    zero = LogScalar.zero()
-    coeffs = ChenSteinCoefficients(b1=zero, b2=zero, b3=zero, lam=lam, m=m, log2_m=log2_m)
-    return LogScalar.from_log(_log_b(coeffs.lam.logmag, coeffs.log_m_minus_1))
-
-
 def _log_b(log_lam: float, log_m1: float) -> float:
-    """ln b(lam) from ln(lam) and ln(m - 1); -inf once the exponent overflows."""
+    """ln b(lam) from ln(lam) and ln(m - 1); -inf once the exponent overflows.
+
+    Kept in log space because the routine underflow (exponents like -1e8 for
+    the worked models) would otherwise lose its value.  When m - 1 < lam e
+    the exponent turns positive and the (possibly huge) value the formula
+    gives is returned.
+    """
     parts = [2.0 * log_lam, math.log(_BRACKET_CONST)]
     if log_lam < 1.0:  # lam < e, so (lam ln(e/lam))_+ is positive
         parts.append(log_lam + math.log(1.0 - log_lam))
@@ -178,8 +158,8 @@ def _log_b(log_lam: float, log_m1: float) -> float:
 
     # Exponent lam + (m-1) (ln(m-1) - ln(lam) - 1), with overflow handled
     # sign-by-sign so huge m degrades to b = 0 rather than NaN.
-    lam_f = math.exp(log_lam) if log_lam < 709.0 else math.inf
-    m1_f = math.exp(log_m1) if log_m1 < 709.0 else math.inf
+    lam_f = _saturating_exp(log_lam)
+    m1_f = _saturating_exp(log_m1)
     paren = log_m1 - log_lam - 1.0
     if math.isinf(m1_f):
         second = 0.0 if paren == 0.0 else math.copysign(math.inf, paren)
@@ -204,8 +184,7 @@ def _main_term(log_coeff: float, log_m2: float) -> tuple:
     if log_coeff == -math.inf:
         return 0.0, -math.inf
     log_term = log_coeff + math.log(log_m2 - log_coeff)
-    value = math.exp(log_term) if log_term > -745.0 else 0.0
-    return value, log_term
+    return _saturating_exp(log_term), log_term
 
 
 def _entropy(lam: float, log_lam: float, tol: float) -> EntropyValue:
@@ -231,7 +210,7 @@ def _report(
     one-sided, since H(Z) >= H(W) there.
     """
     a_term, a_term_log = _main_term(log_coeff, log_m2)
-    b_term = math.inf if log_b > 709.0 else math.exp(log_b)  # as LogScalar.to_float
+    b_term = _saturating_exp(log_b)
     eps = a_term + b_term
     eps_log = log_sum_exp([a_term_log, log_b])
 
@@ -239,9 +218,7 @@ def _report(
     if rule == RULE_GENERAL:
         convention = "two-sided-centered"
         interval, point = (h.nats - eps, h.nats + eps), h.nats
-        rel = eps / h.nats if eps > 0.0 else (
-            math.exp(eps_log - math.log(h.nats)) if eps_log > -math.inf else 0.0
-        )
+        rel = eps / h.nats if eps > 0.0 else _saturating_exp(eps_log - math.log(h.nats))
     else:
         convention = "one-sided-midpoint"
         interval, point = (h.nats - eps, h.nats), h.nats - 0.5 * eps
@@ -281,11 +258,11 @@ def entropy_bound_general(
     """
     log_tv = log_tv_upper_agg(coeffs)
     log_a = _LN2 + log_tv
-    a_value = 2.0 * math.exp(log_tv) if log_tv > -745.0 else 0.0  # as a_of_lambda
+    a_value = 2.0 * _saturating_exp(log_tv)  # a(lambda) = 2 tv_upper_agg(coeffs)
     lam = coeffs.lam.to_float()
     # ln(m - 1) = ln 0 at m = 1, where the check lam <= m - 1 below refuses.
     log_lam, log_m1 = coeffs.lam.logmag, -math.inf if coeffs.m == 1 else coeffs.log_m_minus_1
-    m1_f = math.exp(log_m1) if log_m1 < 709 else math.inf
+    m1_f = _saturating_exp(log_m1)
 
     checks = (
         ConditionCheck("a(lambda)", 0.5, a_value, log_a <= _LN_HALF),
@@ -325,7 +302,7 @@ def _independent_terms(moments: MomentSummary) -> dict:
         log_c = -math.inf
     else:
         log_c = math.log(moments.sum_p_squared) + log_bh_factor(math.log(moments.lam))
-    c = math.exp(log_c) if log_c > -745.0 else 0.0
+    c = _saturating_exp(log_c)
     limit = float(moments.m - 1)
     shared = (
         ConditionCheck("tv_factor_sum_p2", 0.25, c, log_c <= math.log(0.25)),

@@ -34,8 +34,8 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .exact import BernoulliSystem
-from .logspace import LogScalar, log1mexp, log_sum_exp
-from .poisson import InputError, _check_lambda
+from .logspace import LogScalar, _saturating_exp, log1mexp, log_sum_exp
+from .poisson import InputError, _check_lambda, _integer
 
 __all__ = [
     "DependencySpec",
@@ -59,13 +59,14 @@ _LN2 = math.log(2.0)
 class DependencySpec:
     """Marginals, neighbourhoods and pair moments for a dependent system.
 
-    ``pair_expectations`` gives p_ab = E[X_a X_b] for ordered index pairs
-    (a, b) with b in B_a \\ {a}, either as a mapping {(a, b): p_ab} or as
-    [a, b, p_ab] triples; since that moment is symmetric, each unordered
-    pair may be supplied once and is mirrored automatically.  ``b3_terms``
-    is either a sequence of the long-range terms s_a >= 0 or the literal
-    string "zero" asserting the structural claim b3 = 0 (valid when
-    indicators are independent of everything outside their neighbourhood).
+    The ``pair_expectations`` argument gives p_ab = E[X_a X_b] for ordered
+    index pairs (a, b) with b in B_a \\ {a}, either as a mapping
+    {(a, b): p_ab} or as [a, b, p_ab] triples; since that moment is
+    symmetric, each unordered pair may be supplied once and is mirrored
+    automatically.  ``b3_terms`` is either a sequence of the long-range
+    terms s_a >= 0 or the literal string "zero" asserting the structural
+    claim b3 = 0 (valid when indicators are independent of everything
+    outside their neighbourhood).
     Computing s_a in general needs model-specific reasoning, so it is always
     caller-supplied.
 
@@ -73,8 +74,7 @@ class DependencySpec:
     ``marginals`` (float64, length m); ``indptr`` and ``indices``, where
     ``indices[indptr[a]:indptr[a + 1]]`` is B_a sorted and without repeats;
     and ``pair_moments``, p_ab for each off-diagonal CSR entry (0.0 on the
-    diagonal ones).  ``neighborhoods`` and ``pair_expectations`` are views
-    derived from these arrays.
+    diagonal ones).  ``neighborhoods`` is a view derived from these arrays.
     """
 
     m: int
@@ -125,53 +125,14 @@ class DependencySpec:
         bounds = self.indptr.tolist()
         return tuple(frozenset(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
-    @property
-    def pair_expectations(self) -> Mapping:
-        """Read-only {(a, b): p_ab} over every b in B_a \\ {a}."""
-        return _PairExpectations(self)
-
-
-class _PairExpectations(Mapping):
-    def __init__(self, spec: DependencySpec):
-        self._spec = spec
-
-    def __getitem__(self, key):
-        spec = self._spec
-        try:
-            a, b = (int(i) for i in key)
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        if a == b or not (0 <= a < spec.m and 0 <= b < spec.m):
-            raise KeyError(key)
-        lo, hi = int(spec.indptr[a]), int(spec.indptr[a + 1])
-        j = lo + int(np.searchsorted(spec.indices[lo:hi], b))
-        if j == hi or spec.indices[j] != b:
-            raise KeyError(key)
-        return float(spec.pair_moments[j])
-
-    def __iter__(self):
-        rows, cols = _csr_rows(self._spec.indptr), self._spec.indices
-        off = rows != cols
-        return zip(rows[off].tolist(), cols[off].tolist())
-
-    def __len__(self):
-        # Every row holds its own index exactly once.
-        return int(self._spec.indices.size - self._spec.m)
-
-
-def _csr_rows(indptr: np.ndarray) -> np.ndarray:
-    """The row index of every CSR entry."""
-    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
-
 
 def _index_set_size(raw) -> int:
-    """``raw`` as an index-set size m >= 1; a bool or a non-integral number
-    is refused, not truncated."""
+    """``raw`` as an index-set size m >= 1 by the rule of :func:`_integer`."""
     try:
-        m = int(raw)
-    except (TypeError, ValueError, OverflowError):
+        m = _integer(raw, "m")
+    except InputError:
         m = 0
-    if m < 1 or isinstance(raw, bool) or isinstance(raw, float) and m != raw:
+    if m < 1:
         raise InputError("m", f"index set size m must be an integer >= 1, got {raw!r}")
     return m
 
@@ -311,7 +272,7 @@ def _pair_moments(pairs, p: np.ndarray, indptr: np.ndarray, indices: np.ndarray)
         raise ValueError(f"conflicting values for pair expectation {(lo, hi)}")
     keys, value = keys[first], value[first]
 
-    owner = _csr_rows(indptr)
+    owner = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
     off = owner != indices
     rows, cols = owner[off], indices[off]
     wanted = np.minimum(rows, cols) * m + np.maximum(rows, cols)
@@ -565,8 +526,7 @@ def tv_upper_agg(coeffs: ChenSteinCoefficients) -> float:
     Returned unclamped: values above 1 are vacuous but faithful to the
     formula, and report builders annotate rather than clamp them.
     """
-    log_value = log_tv_upper_agg(coeffs)
-    return math.exp(log_value) if log_value > -745.0 else 0.0
+    return _saturating_exp(log_tv_upper_agg(coeffs))
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,19 @@ def _condition_entries(checks):
     ]
 
 
+def _relative_errors(report):
+    """The relative error and its percentage; the fraction carries the log
+    companion ln(eps) - ln H(Z)."""
+    h = report.h_poisson.nats
+    return {
+        "relative_error": _num(
+            report.relative_error, "fraction",
+            report.epsilon_log - math.log(h) if h > 0 else None,
+        ),
+        "relative_error_percent": _num(100.0 * report.relative_error, "percent"),
+    }
+
+
 def _report_results(report):
     lo, hi = report.interval
     return {
@@ -133,13 +146,7 @@ def _report_results(report):
         "interval_low": _num(lo, "nats"),
         "interval_high": _num(hi, "nats"),
         "point_estimate": _num(report.point_estimate, "nats"),
-        "relative_error": _num(
-            report.relative_error, "fraction",
-            report.epsilon_log - math.log(report.h_poisson.nats)
-            if report.h_poisson.nats > 0
-            else None,
-        ),
-        "relative_error_percent": _num(100.0 * report.relative_error, "percent"),
+        **_relative_errors(report),
     }
 
 
@@ -472,13 +479,7 @@ def _cmd_table1(args):
                 "k": row.k,
                 "lambda": _num(row.lam, "dimensionless"),
                 "entropy": _num(row.entropy_nats, "nats"),
-                "relative_error": _num(
-                    row.relative_error, "fraction", row.report.epsilon_log
-                    - math.log(row.report.h_poisson.nats),
-                ),
-                "relative_error_percent": _num(
-                    100.0 * row.relative_error, "percent"
-                ),
+                **_relative_errors(row.report),
                 "reference_lambda": _num(row.reference_lambda, "dimensionless"),
                 "reference_entropy": _num(row.reference_entropy_nats, "nats"),
                 "reference_relative_error": _num(

@@ -107,9 +107,6 @@ class Pmf:
     def support_size(self) -> int:
         return int(self.mass.size)
 
-    def mean(self) -> float:
-        return float(np.dot(np.arange(self.mass.size), self.mass))
-
 
 def _as_probs(system) -> np.ndarray:
     if isinstance(system, BernoulliSystem):

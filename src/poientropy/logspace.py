@@ -5,7 +5,8 @@ random-orientation model on the n-cube) routinely produces magnitudes like
 2**-100 or C(100, 70)**2 / 2**100 that a plain float cannot hold without an
 overflow/underflow cliff.  This module provides a signed log-magnitude scalar
 (:class:`LogScalar`) plus the handful of special functions the bound
-formulas need: lgamma, log-sum-exp and log(1 - e^-x).
+formulas need: lgamma, log-sum-exp, log(1 - e^-x) and an exp that saturates
+instead of raising.
 
 All functions are pure; values are immutable and safe to share across
 threads.
@@ -63,6 +64,17 @@ def log1mexp(x: float) -> float:
     if x < _LN2:
         return math.log(-math.expm1(-x))
     return math.log1p(-math.exp(-x))
+
+
+def _saturating_exp(x: float) -> float:
+    """e^x that saturates instead of raising: +inf above 709 (math.exp raises
+    OverflowError past 709.78) and 0.0 at or below -745 (about the smallest
+    subnormal)."""
+    if x > 709.0:
+        return math.inf
+    if x <= -745.0:
+        return 0.0
+    return math.exp(x)
 
 
 def _lse2(a: float, b: float) -> float:
@@ -132,9 +144,7 @@ class LogScalar:
         """Nearest float; underflows to 0.0 and overflows to +-inf."""
         if self.sign == 0:
             return 0.0
-        if self.logmag > 709.0:  # exp overflow threshold
-            return math.inf * self.sign
-        return self.sign * math.exp(self.logmag)
+        return self.sign * _saturating_exp(self.logmag)
 
     def __float__(self) -> float:
         return self.to_float()

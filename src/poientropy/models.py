@@ -42,7 +42,7 @@ from .bounds import (
 )
 from .chenstein import ChenSteinCoefficients
 from .logspace import LogScalar
-from .poisson import InputError
+from .poisson import InputError, _integer
 
 __all__ = [
     "arithmetic_moments",
@@ -66,6 +66,11 @@ _COUNT_ROWS = 64
 # bit-identical no matter how many threads process the chunks.
 _MC_CHUNK = 4096
 
+# Smallest n at which a second simulating thread pays for handing over the
+# GIL at every numpy call: on a 2-vCPU host one 8192-replicate call at n = 9
+# takes 5-6 ms on one thread and 7-8 ms on two, at n = 12 80-98 and 51-60 ms.
+_MC_PARALLEL_MIN_N = 10
+
 # Each simulating thread holds (n.bit_length() + 2) 2^n scratch words per 64
 # replicates (outdegree bit-planes, carry and spill: 224 MiB at n = 16) and
 # one dimension's 2^(n-1) coin words (16 MiB).  One n = 16 chunk peaks at
@@ -80,20 +85,6 @@ MC_MAX_REPLICATES = 10**8
 # binomials C(n, k) take about 10 ms at n = 1e4 but 0.57 s at 1e5 and 4.5 s
 # at 3e5.
 HYPERCUBE_MAX_N = 10_000
-
-
-def _integer(raw, name: str) -> int:
-    """``raw`` as an int; a bool or a non-integral number is refused with an
-    InputError naming ``name``, not truncated (30.0 is accepted as 30)."""
-    if type(raw) is int:
-        return raw
-    try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or value != raw or isinstance(raw, (bool, np.bool_)):
-        raise InputError(name, f"{name} must be an integer, got {raw!r}")
-    return value
 
 
 def _cube_order(n, k, limit: int, why: str = "") -> tuple:
@@ -241,9 +232,10 @@ def hypercube_monte_carlo(
     Each replicate orients all n 2^(n-1) edges independently and counts the
     vertices with exactly k outward edges.  Replicates are processed in
     fixed-size chunks whose RNG streams derive from (master_seed,
-    chunk_index), so the result is bit-identical for any ``threads`` value.
-    Within a chunk the simulation is bit-sliced: bit j of each uint64 word
-    is replicate j of its 64-replicate lane, and outdegrees are kept as
+    chunk_index), so the result is bit-identical for any ``threads`` value;
+    below n = ``_MC_PARALLEL_MIN_N`` one thread runs them all.  Within a
+    chunk the simulation is bit-sliced: bit j of each uint64 word is
+    replicate j of its 64-replicate lane, and outdegrees are kept as
     bit-planes updated by word-wide ripple-carry addition.
     Returns the empirical mean with its standard error, the empirical pmf,
     and the plug-in entropy with a jackknife standard error (plug-in bias is
@@ -252,6 +244,9 @@ def hypercube_monte_carlo(
     n, k = _cube_order(
         n, k, MC_MAX_DIMENSION, "simulation holds 2^n vertex words per 64 replicates; "
     )
+    replicates = _integer(replicates, "replicates")
+    master_seed = _integer(master_seed, "master_seed")
+    threads = _integer(threads, "threads")
     if not 1 <= replicates <= MC_MAX_REPLICATES:
         raise InputError(
             "replicates", f"replicates must lie in 1..{MC_MAX_REPLICATES}, got {replicates}"
@@ -262,7 +257,7 @@ def hypercube_monte_carlo(
         raise InputError("threads", f"threads must be >= 1, got {threads}")
 
     n_chunks = -(-replicates // _MC_CHUNK)
-    workers = min(threads, n_chunks)
+    workers = min(threads, n_chunks) if n >= _MC_PARALLEL_MIN_N else 1
 
     def tally(first):
         # Worker ``first`` runs chunks first, first + workers, ... in one
@@ -296,7 +291,7 @@ def hypercube_monte_carlo(
         n=n,
         k=k,
         replicates=replicates,
-        master_seed=int(master_seed),
+        master_seed=master_seed,
         counts=counts,
         mean_w=mean,
         mean_std_err=mean_se,

@@ -31,7 +31,6 @@ from .logspace import log_gamma
 __all__ = [
     "EntropyValue",
     "poisson_log_pmf",
-    "poisson_tail_bound",
     "poisson_entropy_series",
     "poisson_entropy_asymptotic",
     "poisson_entropy",
@@ -76,6 +75,21 @@ class InputError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def _integer(raw, name: str) -> int:
+    """``raw`` as an int; a bool, a string or a non-integral number is
+    refused with an InputError naming ``name``, not truncated (30.0 is
+    accepted as 30)."""
+    if type(raw) is int:
+        return raw
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != raw or isinstance(raw, (bool, np.bool_)):
+        raise InputError(name, f"{name} must be an integer, got {raw!r}")
+    return value
 
 
 def _check_lambda(lam: float) -> float:
@@ -142,20 +156,6 @@ def poisson_log_pmf(lam: float, k: int) -> float:
     if k == 0:
         return -lam
     return k * math.log(lam) - lam - log_gamma(k + 1)
-
-
-def poisson_tail_bound(lam: float, k: int) -> float:
-    """Certified upper bound on P(Z > k) for Z ~ Po(lam), requires k + 1 > lam.
-
-    Successive pmf ratios beyond k are at most r = lam / (k + 2) < 1, so the
-    tail is dominated by the geometric series pmf(k+1) / (1 - r).
-    """
-    lam = _check_lambda(lam)
-    if k + 1 <= lam:
-        raise ValueError(f"tail bound needs k + 1 > lam, got k={k}, lam={lam}")
-    r = lam / (k + 2)
-    log_tail = poisson_log_pmf(lam, k + 1) - math.log1p(-r)
-    return math.exp(log_tail) if log_tail > -745.0 else 0.0
 
 
 def _entropy_tail(log_p_edge: float, log_x: float) -> tuple:

@@ -8,8 +8,7 @@ from poientropy.bounds import (
     ConditionViolated,
     MomentSummary,
     NoApplicableBound,
-    a_of_lambda,
-    b_of_lambda,
+    _log_b,
     best_independent_bound,
     entropy_bound_general,
     entropy_bound_independent,
@@ -49,28 +48,51 @@ def _coeffs(b1=0.0, b2=0.0, b3=0.0, lam=1.0, m=None, log2_m=None):
     )
 
 
+def _recorded_a(coeffs):
+    """The a(lambda) that entropy_bound_general records, refused or not."""
+    try:
+        checks = entropy_bound_general(coeffs).conditions
+    except ConditionViolated as exc:
+        checks = exc.checks
+    return next(c.actual for c in checks if c.name == "a(lambda)")
+
+
+def _log_b_of(lam, m=None, log2_m=None):
+    """ln b(lam) as the reports take it, from validated coefficients."""
+    coeffs = _coeffs(lam=lam, m=m, log2_m=log2_m)
+    return _log_b(coeffs.lam.logmag, coeffs.log_m_minus_1)
+
+
 class TestAOfLambda:
     def test_equals_twice_unclamped_agg_exactly(self):
         for probs in ([0.01] * 10, [0.3, 0.2], [0.9, 0.9, 0.9]):
             coeffs = coefficients_independent(probs)
-            assert a_of_lambda(coeffs) == 2.0 * tv_upper_agg(coeffs)
+            assert _recorded_a(coeffs) == 2.0 * tv_upper_agg(coeffs)
 
     def test_independent_reference(self):
         coeffs = coefficients_independent([0.01] * 10)
         expected = 2.0 * (-math.expm1(-0.1) / 0.1) * 1e-3
-        assert a_of_lambda(coeffs) == pytest.approx(expected, rel=1e-12)
+        assert 2.0 * tv_upper_agg(coeffs) == pytest.approx(expected, rel=1e-12)
 
     def test_orientation_model_value(self):
         b1 = Fraction(31 * 4060**2, 2**30)
         b2 = Fraction(30 * 406 * 3654, 2**28)
         coeffs = _coeffs(b1=float(b1), b2=float(b2), lam=4060.0, log2_m=30.0)
-        assert a_of_lambda(coeffs) == pytest.approx(
+        assert 2.0 * tv_upper_agg(coeffs) == pytest.approx(
             float(2 * (b1 + b2) / 4060), rel=1e-12
         )
-        assert a_of_lambda(coeffs) == pytest.approx(3.161e-4, rel=1e-3)
+        assert 2.0 * tv_upper_agg(coeffs) == pytest.approx(3.161e-4, rel=1e-3)
 
     def test_zero_coefficients(self):
-        assert a_of_lambda(_coeffs(lam=2.0, m=5)) == 0.0
+        assert 2.0 * tv_upper_agg(_coeffs(lam=2.0, m=5)) == 0.0
+
+    def test_saturates_past_float_overflow(self):
+        # (b1 + b2)(1 - e^-lam)/lam is about 2e308 at lam = 1e-300.
+        coeffs = _coeffs(b1=1e308, b2=1e308, lam=1e-300, log2_m=10.0)
+        assert tv_upper_agg(coeffs) == math.inf
+        with pytest.raises(ConditionViolated, match="a\\(lambda\\)"):
+            entropy_bound_general(coeffs)
+        assert _recorded_a(coeffs) == math.inf
 
 
 class TestBOfLambda:
@@ -78,56 +100,53 @@ class TestBOfLambda:
         # Exponent is -(1 + ln(1/e)) = 0, so b is the bare bracket
         # 1 + 1 + (6 ln(2 pi) + 1)/12.
         expected = 2.0 + BRACKET_CONST
-        assert float(b_of_lambda(1.0, m=2)) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(_log_b_of(1.0, m=2)) == pytest.approx(expected, rel=1e-12)
 
     def test_log_value_retained_under_underflow(self):
-        b = b_of_lambda(1e6, m=10**8)
-        assert float(b) == 0.0
+        log_b = _log_b_of(1e6, m=10**8)
+        assert math.exp(log_b) == 0.0
         m1 = 10**8 - 1
         expected_log = (
             math.log(1e12 + BRACKET_CONST)
             - (1e6 + m1 * (math.log(m1) - math.log(1e6) - 1.0))
         )
-        assert b.logmag == pytest.approx(expected_log, rel=1e-12)
+        assert log_b == pytest.approx(expected_log, rel=1e-12)
 
     def test_log2_m_form(self):
-        b = b_of_lambda(4060.0, log2_m=30.0)
+        log_b = _log_b_of(4060.0, log2_m=30.0)
         m1 = 2.0**30 - 1.0
         expected_log = math.log(4060.0**2 + BRACKET_CONST) - (
             4060.0 + m1 * (math.log(m1) - math.log(4060.0) - 1.0)
         )
-        assert float(b) == 0.0
-        assert b.logmag == pytest.approx(expected_log, rel=1e-12)
+        assert math.exp(log_b) == 0.0
+        assert log_b == pytest.approx(expected_log, rel=1e-12)
 
     def test_positive_exponent_returns_large_value(self):
         # m - 1 < lam e flips the exponent sign; the value is huge but real.
-        b = b_of_lambda(10.0, m=3)
         expected = (100.0 + BRACKET_CONST) * math.exp(
             -(10.0 + 2.0 * (math.log(2.0) - math.log(10.0) - 1.0))
         )
-        assert float(b) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(_log_b_of(10.0, m=3)) == pytest.approx(expected, rel=1e-12)
 
     def test_small_mean_includes_positive_part_term(self):
-        b = b_of_lambda(0.5, m=4)
         bracket = 0.5 * (1.0 - math.log(0.5)) + 0.25 + BRACKET_CONST
         expected = bracket * math.exp(
             -(0.5 + 3.0 * (math.log(3.0) - math.log(0.5) - 1.0))
         )
-        assert float(b) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(_log_b_of(0.5, m=4)) == pytest.approx(expected, rel=1e-12)
 
     def test_huge_log2_m_underflows_to_zero_gracefully(self):
-        b = b_of_lambda(LogScalar.from_log(800.0), log2_m=2000.0)
-        assert b.sign == 0
+        assert _log_b_of(LogScalar.from_log(800.0), log2_m=2000.0) == -math.inf
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            b_of_lambda(1.0)
+            _log_b_of(1.0)
         with pytest.raises(ValueError):
-            b_of_lambda(1.0, m=4, log2_m=2.0)
+            _log_b_of(1.0, m=4, log2_m=2.0)
         with pytest.raises(ValueError):
-            b_of_lambda(1.0, m=1)
+            _log_b_of(1.0, m=1)
         with pytest.raises(ValueError):
-            b_of_lambda(0.0, m=4)
+            _log_b_of(0.0, m=4)
 
 
 class TestGeneralBound:
@@ -228,7 +247,7 @@ class TestIndependentBound:
         moments = MomentSummary(lam=1.0, sum_p_squared=0.0, m=10)
         report = entropy_bound_independent(moments)
         assert report.a_term == 0.0
-        assert report.epsilon == pytest.approx(float(b_of_lambda(1.0, m=10)), rel=1e-12)
+        assert report.epsilon == pytest.approx(math.exp(_log_b_of(1.0, m=10)), rel=1e-12)
 
     @pytest.mark.parametrize("sum_p2", [math.nan, math.inf, -1e-300])
     def test_moment_summary_rejects_bad_sum_p_squared(self, sum_p2):
@@ -284,7 +303,7 @@ class TestIndependentSharpBound:
     def test_zero_second_moment_leaves_only_truncation_term(self):
         moments = MomentSummary(lam=1.0, sum_p_squared=0.0, m=10)
         report = entropy_bound_independent_sharp(moments)
-        assert report.epsilon == pytest.approx(float(b_of_lambda(1.0, m=10)), rel=1e-12)
+        assert report.epsilon == pytest.approx(math.exp(_log_b_of(1.0, m=10)), rel=1e-12)
 
     def test_g_condition_violation(self):
         # theta = 0.9 at moderate mean saturates the min at 1 - e^-lam, and

@@ -38,6 +38,14 @@ def _chain_spec():
     )
 
 
+def _pair_moment(spec, a, b):
+    """p_ab read from the CSR arrays; b must lie in B_a \\ {a}."""
+    lo, hi = spec.indptr[a], spec.indptr[a + 1]
+    row = spec.indices[lo:hi].tolist()
+    assert b != a and b in row
+    return float(spec.pair_moments[lo + row.index(b)])
+
+
 class TestDependencySpec:
     def test_requires_self_in_neighbourhood(self):
         with pytest.raises(ValueError, match="contain"):
@@ -65,8 +73,8 @@ class TestDependencySpec:
 
     def test_symmetric_completion_of_pairs(self):
         spec = _chain_spec()
-        assert spec.pair_expectations[(1, 0)] == 0.05
-        assert spec.pair_expectations[(2, 1)] == 0.1
+        assert _pair_moment(spec, 1, 0) == _pair_moment(spec, 0, 1) == 0.05
+        assert _pair_moment(spec, 2, 1) == _pair_moment(spec, 1, 2) == 0.1
 
     def test_from_dict_with_string_keys(self):
         spec = dependency_spec_from_dict(
@@ -113,7 +121,7 @@ class TestCoefficients:
         p = spec.marginals
         b1 = sum(p[a] * p[b] for a in range(3) for b in spec.neighborhoods[a])
         b2 = sum(
-            spec.pair_expectations[(a, b)]
+            _pair_moment(spec, a, b)
             for a in range(3)
             for b in spec.neighborhoods[a]
             if b != a
@@ -171,7 +179,9 @@ class TestInputRefusals:
     def test_log2_m_must_be_finite_and_at_least_one(self, log2_m):
         assert _refused_field(ChenSteinCoefficients, **self._VALID, log2_m=log2_m) == "log2_m"
 
-    @pytest.mark.parametrize("m", [2.5, True, math.inf, 0])
+    @pytest.mark.parametrize(
+        "m", [2.5, True, math.inf, 0, "3", np.True_, Fraction(5, 2)]
+    )
     def test_m_must_be_an_integer_index_set_size(self, m):
         assert _refused_field(ChenSteinCoefficients, **self._VALID, m=m) == "m"
         assert _refused_field(MomentSummary, lam=1.0, sum_p_squared=0.1, m=m) == "m"
@@ -349,7 +359,7 @@ class TestSpecValidation:
         assert spec.neighborhoods == (frozenset({0, 1}), frozenset({1}), frozenset({2}))
         assert spec.indptr.tolist() == [0, 2, 3, 4]
         assert spec.indices.tolist() == [0, 1, 1, 2]
-        assert dict(spec.pair_expectations) == {(0, 1): 0.05}
+        assert spec.pair_moments.tolist() == [0.0, 0.05, 0.0, 0.0]
         b1 = 0.1 * 0.1 + 0.1 * 0.2 + 0.2 * 0.2 + 0.3 * 0.3
         assert coefficients_from_spec(spec).b1.to_float() == pytest.approx(b1, rel=1e-14)
 

@@ -213,7 +213,7 @@ class TestEntropyBoundCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("m", 2.9), ("m", True), ("neighborhoods", [[0, 1.7], [1], [2]]),
+        [("m", 2.9), ("m", True), ("m", "3"), ("neighborhoods", [[0, 1.7], [1], [2]]),
          ("pair_expectations", [[0, 1.2, 0.001]])],
     )
     def test_non_integral_spec_value_names_spec_and_path(self, capsys, tmp_path, field, value):
@@ -262,6 +262,18 @@ class TestEntropyBoundCommand:
 
 
 class TestTvBoundsCommand:
+    def test_overflowing_aggregate_saturates(self, capsys):
+        # (b1 + b2)(1 - e^-lam)/lam is about 2e308 at lam = 1e-300.
+        coeffs = "--coeffs=1e308,1e308,0,1e-300,10"
+        code, out, _ = run_cli(capsys, "tv-bounds", coeffs, "--format", "machine")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["agg_upper"]["value"] == "inf"
+        assert "agg_upper > 1 is vacuous" in doc["notes"][0]
+        code, out, _ = run_cli(capsys, "entropy-bound", coeffs, "--format", "machine")
+        assert code == 3
+        assert "a(lambda) <= 0.5 violated (actual inf)" in json.loads(out)["error"]
+
     def test_spec_is_loaded_once(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "spec.json"
         path.write_text(

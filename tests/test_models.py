@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from poientropy import models
 from poientropy.bounds import entropy_bound_general
 from poientropy.models import (
     HYPERCUBE_MAX_N,
     MC_MAX_DIMENSION,
     MC_MAX_REPLICATES,
+    _MC_PARALLEL_MIN_N,
     _mc_chunk_counts,
     _mc_scratch,
     arithmetic_moments,
@@ -25,8 +27,9 @@ EX1_COROLLARY_EPS = 0.5878672480574357
 EX1_PROPOSITION_EPS = 0.2047351801396994
 
 
-def _reference_chunk_counts(n, k, chunk_size, seed_seq):
-    """One chunk replicate by replicate, with integer outdegrees.
+def _reference_outdegrees(n, chunk_size, seed_seq):
+    """Every vertex's outdegree in every replicate of one chunk, as a
+    (2^n, chunk_size) integer array, counted edge by edge.
 
     Reads the same coin words as the bit-sliced kernel (bit j of lane l is
     replicate 64 l + j) but counts each vertex's outward edges directly.
@@ -36,15 +39,13 @@ def _reference_chunk_counts(n, k, chunk_size, seed_seq):
         0, 1 << 64, size=(n, 1 << (n - 1), lanes), dtype=np.uint64
     )
     bits = np.unpackbits(coins.view(np.uint8), axis=2, bitorder="little")
-    bits = bits[:, :, :chunk_size].astype(np.int64)
-    w = np.zeros(chunk_size, dtype=np.int64)
+    bits = bits[:, :, :chunk_size]
+    outdeg = np.zeros((1 << n, chunk_size), dtype=np.uint8)
     for v in range(1 << n):
-        outdeg = np.zeros(chunk_size, dtype=np.int64)
         for d in range(n):
             edge = (v & ((1 << d) - 1)) | ((v >> (d + 1)) << d)
-            outdeg += bits[d, edge] ^ ((v >> d) & 1)
-        w += outdeg == k
-    return np.bincount(w, minlength=(1 << n) + 1)
+            outdeg[v] += bits[d, edge] ^ ((v >> d) & 1)
+    return outdeg
 
 
 class TestArithmeticMoments:
@@ -85,7 +86,8 @@ class TestArithmeticMoments:
     @pytest.mark.parametrize(
         "a,n,field",
         [(0.2, 10, "a"), (-1e-3, 10, "a"), (0.1, 0, "n"), (0.01, 2.5, "n"),
-         (0.01, True, "n"), (0.01, math.nan, "n"), (0.01, math.inf, "n")],
+         (0.01, True, "n"), (0.01, math.nan, "n"), (0.01, math.inf, "n"),
+         (0.01, "10", "n"), (0.01, Fraction(5, 2), "n")],
     )
     def test_refusal_names_the_field(self, a, n, field):
         with pytest.raises(InputError) as info:
@@ -185,24 +187,33 @@ class TestHypercubeMonteCarlo:
         assert np.array_equal(first.counts, second.counts)
 
     def test_deterministic_across_thread_counts(self):
-        serial = hypercube_monte_carlo(6, 3, 50_000, master_seed=42, threads=1)
-        threaded = hypercube_monte_carlo(6, 3, 50_000, master_seed=42, threads=4)
+        n = _MC_PARALLEL_MIN_N
+        serial = hypercube_monte_carlo(n, 3, 50_000, master_seed=42, threads=1)
+        threaded = hypercube_monte_carlo(n, 3, 50_000, master_seed=42, threads=4)
         assert np.array_equal(serial.counts, threaded.counts)
+
+    def test_small_dimensions_run_on_one_thread(self, monkeypatch):
+        # Below _MC_PARALLEL_MIN_N a second worker costs more than it saves.
+        monkeypatch.setattr(models, "ThreadPoolExecutor", None)
+        mc = hypercube_monte_carlo(_MC_PARALLEL_MIN_N - 1, 3, 3 * 4096, 0, threads=2)
+        assert int(mc.counts.sum()) == 3 * 4096
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     @pytest.mark.parametrize("chunk_size", [1, 100, 4096])
     def test_bit_sliced_chunk_matches_per_replicate_reference(self, n, chunk_size):
         scratch = _mc_scratch(n, 64)
+        seq = np.random.SeedSequence(11, spawn_key=(n, chunk_size))
+        outdeg = _reference_outdegrees(n, chunk_size, seq)
         for k in range(n + 1):
-            seq = np.random.SeedSequence(11, spawn_key=(k,))
             got = _mc_chunk_counts(n, k, chunk_size, seq, scratch)
-            assert np.array_equal(got, _reference_chunk_counts(n, k, chunk_size, seq))
+            want = np.bincount((outdeg == k).sum(axis=0), minlength=(1 << n) + 1)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_reused_scratch_serves_a_short_last_chunk(self, threads):
         # Three chunks (4096, 4096, 100 replicates): at one or two threads a
         # worker runs a full chunk and then the short one in the same scratch.
-        n, k, replicates = 6, 4, 2 * 4096 + 100
+        n, k, replicates = _MC_PARALLEL_MIN_N, 4, 2 * 4096 + 100
         fresh = sum(
             _mc_chunk_counts(
                 n, k, size, np.random.SeedSequence(entropy=17, spawn_key=(i,)),
@@ -219,6 +230,17 @@ class TestHypercubeMonteCarlo:
     def test_non_integral_order_is_refused(self, n, k, field):
         with pytest.raises(InputError) as info:
             hypercube_monte_carlo(n, k, 10, master_seed=0)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("replicates", 100.5), ("replicates", True), ("replicates", "100"),
+         ("master_seed", 1.5), ("master_seed", np.True_), ("threads", 1.5)],
+    )
+    def test_non_integral_count_is_refused(self, field, value):
+        kwargs = {"replicates": 100, "master_seed": 0, "threads": 1, field: value}
+        with pytest.raises(InputError) as info:
+            hypercube_monte_carlo(4, 2, **kwargs)
         assert info.value.field == field
 
     def test_integral_float_order_is_accepted(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from poientropy import poisson
+from poientropy.exact import tv_to_poisson
 from poientropy.poisson import (
     SERIES_ASYMPTOTIC_SWITCH,
     SERIES_LAMBDA_CEILING,
@@ -14,7 +15,6 @@ from poientropy.poisson import (
     poisson_entropy_asymptotic,
     poisson_entropy_series,
     poisson_log_pmf,
-    poisson_tail_bound,
 )
 
 # Poisson entropies from a 40-digit mpmath evaluation of the defining series
@@ -96,6 +96,16 @@ MPMATH_REFERENCE = {
 }
 
 
+def _geometric_tail_bound(lam, k):
+    """Certified upper bound on P(Z > k) for Z ~ Po(lam), needs k + 2 > lam.
+
+    Successive pmf ratios beyond k are at most r = lam / (k + 2) < 1, so the
+    tail is dominated by the geometric series pmf(k+1) / (1 - r).
+    """
+    r = lam / (k + 2)
+    return math.exp(poisson_log_pmf(lam, k + 1) - math.log1p(-r))
+
+
 class TestLogPmf:
     def test_mean_one_values(self):
         assert poisson_log_pmf(1.0, 0) == pytest.approx(-1.0, rel=1e-15)
@@ -128,16 +138,24 @@ class TestLogPmf:
     def test_normalization_with_certified_tail(self, lam):
         K = int(20 * lam + 50)
         total = math.fsum(math.exp(poisson_log_pmf(lam, k)) for k in range(K + 1))
-        tail = poisson_tail_bound(lam, K)
+        tail = _geometric_tail_bound(lam, K)
         assert 1.0 - tail <= total <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("lam", [0.5, 3.0, 40.0])
     def test_tail_bound_dominates_true_tail(self, lam):
-        K = int(3 * lam) + 10
+        # Each K puts P(Z > K) near 1e-6, far above the ~1e-16 rounding of
+        # the on-support sums, so a missing or halved tail cannot pass.
+        K = {0.5: 6, 3.0: 14, 40.0: 75}[lam]
         true_tail = math.fsum(
             math.exp(poisson_log_pmf(lam, k)) for k in range(K + 1, K + 400)
         )
-        assert poisson_tail_bound(lam, K) >= true_tail
+        assert true_tail > 1e-7
+        assert _geometric_tail_bound(lam, K) >= true_tail
+        # Po(lam) conditioned on Z <= K is P(Z > K) from Po(lam) in total
+        # variation; tv_to_poisson sums that tail down to a 1e-300 remainder.
+        head = np.exp([poisson_log_pmf(lam, j) for j in range(K + 1)])
+        tv = tv_to_poisson(head / head.sum(), lam, tol=1e-300)
+        assert tv == pytest.approx(true_tail, rel=1e-6)
 
 
 class TestEntropySeries:
