@@ -78,7 +78,7 @@ RULE_INDEPENDENT = "corollary1"
 RULE_INDEPENDENT_SHARP = "proposition1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionCheck:
     """One recorded hypothesis check: ``name`` must not exceed ``required``."""
 
@@ -114,7 +114,7 @@ class NoApplicableBound(_FailedChecks):
     headline = "no applicable bound"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntropyBoundReport:
     """A certified enclosure of H(W) around the Poisson entropy H(Z).
 
@@ -214,14 +214,15 @@ def _report(
     eps = a_term + b_term
     eps_log = log_sum_exp([a_term_log, log_b])
 
+    nats = h.nats
     notes = ""
     if rule == RULE_GENERAL:
         convention = "two-sided-centered"
-        interval, point = (h.nats - eps, h.nats + eps), h.nats
-        rel = eps / h.nats if eps > 0.0 else _saturating_exp(eps_log - math.log(h.nats))
+        interval, point = (nats - eps, nats + eps), nats
+        rel = eps / nats if eps > 0.0 else _saturating_exp(eps_log - math.log(nats))
     else:
         convention = "one-sided-midpoint"
-        interval, point = (h.nats - eps, h.nats), h.nats - 0.5 * eps
+        interval, point = (nats - eps, nats), nats - 0.5 * eps
         if point > 0.0:
             rel = (0.5 * eps) / point
         else:
@@ -264,11 +265,12 @@ def entropy_bound_general(
     log_lam, log_m1 = coeffs.lam.logmag, -math.inf if coeffs.m == 1 else coeffs.log_m_minus_1
     m1_f = _saturating_exp(log_m1)
 
+    a_ok, lam_ok = log_a <= _LN_HALF, log_lam <= log_m1
     checks = (
-        ConditionCheck("a(lambda)", 0.5, a_value, log_a <= _LN_HALF),
-        ConditionCheck("lambda", m1_f, lam, log_lam <= log_m1),
+        ConditionCheck("a(lambda)", 0.5, a_value, a_ok),
+        ConditionCheck("lambda", m1_f, lam, lam_ok),
     )
-    if not all(c.satisfied for c in checks):
+    if not (a_ok and lam_ok):
         raise ConditionViolated(checks)
     return _report(
         RULE_GENERAL, lam, log_a, checks,

@@ -347,14 +347,10 @@ class ChenSteinCoefficients:
     log2_m: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("b1", "b2", "b3", "lam"):
-            value = getattr(self, name)
-            if not isinstance(value, LogScalar) and value == value:  # not NaN
-                value = LogScalar.from_float(value)
+        for name, raw in zip(_COEFFICIENT_FIELDS, (self.b1, self.b2, self.b3, self.lam)):
+            value = _coefficient(name, raw)
+            if value is not raw:
                 object.__setattr__(self, name, value)
-            if not isinstance(value, LogScalar) or value.sign < 0 or value.logmag == math.inf:
-                message = f"{name} must be finite and non-negative, got {float(value)}"
-                raise InputError(name, message)
         if self.lam.sign == 0:
             raise InputError("lam", "lam must be positive")
         if (self.m is None) == (self.log2_m is None):
@@ -393,6 +389,19 @@ class ChenSteinCoefficients:
         if log_m > 690.0:
             return log_m
         return log_m + math.log1p(2.0 * math.exp(-log_m))
+
+
+_COEFFICIENT_FIELDS = ("b1", "b2", "b3", "lam")
+
+
+def _coefficient(name: str, value) -> LogScalar:
+    """``value`` as a finite, non-negative LogScalar, or an InputError naming
+    ``name``; a float is converted."""
+    if not isinstance(value, LogScalar) and value == value:  # not NaN
+        value = LogScalar.from_float(value)
+    if not isinstance(value, LogScalar) or value.sign < 0 or value.logmag == math.inf:
+        raise InputError(name, f"{name} must be finite and non-negative, got {float(value)}")
+    return value
 
 
 def _log_sum(log_terms: np.ndarray) -> LogScalar:
@@ -529,7 +538,7 @@ def tv_upper_agg(coeffs: ChenSteinCoefficients) -> float:
     return _saturating_exp(log_tv_upper_agg(coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TvBoundReport:
     """All total-variation bounds available for one system.
 

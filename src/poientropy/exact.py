@@ -96,10 +96,11 @@ class Pmf:
         mass = np.asarray(mass, dtype=np.float64)
         if mass.ndim != 1 or mass.size == 0:
             raise ValueError("pmf must be a non-empty 1-d array")
-        if np.any(mass < 0.0):
+        # Both tests are written so that a NaN fails them.
+        if not np.all(mass >= 0.0):
             raise ValueError("pmf entries must be non-negative")
         total = float(np.sum(mass))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"pmf must sum to 1 within 1e-10, got {total!r}")
         object.__setattr__(self, "mass", mass)
 

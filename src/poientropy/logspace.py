@@ -50,7 +50,7 @@ def log_sum_exp(xs: Iterable[float]) -> float:
     hi = max(values)
     if math.isinf(hi):  # +inf dominates; all -inf stays -inf
         return hi
-    return hi + math.log(math.fsum(math.exp(x - hi) for x in values))
+    return hi + math.log(math.fsum([math.exp(x - hi) for x in values]))
 
 
 def log1mexp(x: float) -> float:
@@ -88,7 +88,7 @@ def _lse2(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogScalar:
     """A real number stored as sign and natural log of magnitude.
 
@@ -97,6 +97,11 @@ class LogScalar:
     subtraction route through log-sum-exp with sign handling, so the usual
     caveat about catastrophic cancellation of nearly equal magnitudes
     applies, exactly as for floats.
+
+    ``LogScalar(sign, logmag)`` checks both fields.  The constructors and
+    the arithmetic build their results with the unchecked ``_make``: their
+    sign is valid by construction, so one comparison of the logmag with
+    -inf (see ``_nonzero``) stands in for the whole check.
     """
 
     sign: int
@@ -114,11 +119,11 @@ class LogScalar:
 
     @classmethod
     def zero(cls) -> "LogScalar":
-        return cls(0, -math.inf)
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LogScalar":
-        return cls(1, 0.0)
+        return _make(1, 0.0)
 
     @classmethod
     def from_float(cls, x) -> "LogScalar":
@@ -126,17 +131,17 @@ class LogScalar:
         if isinstance(x, LogScalar):
             return x
         if x == 0:
-            return cls.zero()
+            return _ZERO
         sign = 1 if x > 0 else -1
         # math.log accepts big ints directly, so exact integer inputs such as
         # binomial coefficients keep full log precision.
-        return cls(sign, math.log(x if sign > 0 else -x))
+        return _nonzero(sign, math.log(x if sign > 0 else -x))
 
     @classmethod
     def from_log(cls, logmag: float, sign: int = 1) -> "LogScalar":
         if sign == 0 or logmag == -math.inf:
-            return cls.zero()
-        return cls(1 if sign > 0 else -1, logmag)
+            return _ZERO
+        return _nonzero(1 if sign > 0 else -1, logmag)
 
     # -- conversions ---------------------------------------------------------
 
@@ -150,28 +155,28 @@ class LogScalar:
         return self.to_float()
 
     def __abs__(self) -> "LogScalar":
-        return LogScalar.from_log(self.logmag, 1) if self.sign else LogScalar.zero()
+        return _make(1, self.logmag) if self.sign else _ZERO
 
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "LogScalar":
         if self.sign == 0:
             return self
-        return LogScalar(-self.sign, self.logmag)
+        return _make(-self.sign, self.logmag)
 
     def __mul__(self, other: "LogScalar") -> "LogScalar":
         other = LogScalar.from_float(other)
         if self.sign == 0 or other.sign == 0:
-            return LogScalar.zero()
-        return LogScalar(self.sign * other.sign, self.logmag + other.logmag)
+            return _ZERO
+        return _nonzero(self.sign * other.sign, self.logmag + other.logmag)
 
     def __truediv__(self, other: "LogScalar") -> "LogScalar":
         other = LogScalar.from_float(other)
         if other.sign == 0:
             raise ZeroDivisionError("division by zero LogScalar")
         if self.sign == 0:
-            return LogScalar.zero()
-        return LogScalar(self.sign * other.sign, self.logmag - other.logmag)
+            return _ZERO
+        return _nonzero(self.sign * other.sign, self.logmag - other.logmag)
 
     def __add__(self, other: "LogScalar") -> "LogScalar":
         other = LogScalar.from_float(other)
@@ -180,12 +185,12 @@ class LogScalar:
         if other.sign == 0:
             return self
         if self.sign == other.sign:
-            return LogScalar(self.sign, _lse2(self.logmag, other.logmag))
+            return _nonzero(self.sign, _lse2(self.logmag, other.logmag))
         # Opposite signs: the larger magnitude wins.
         if self.logmag == other.logmag:
-            return LogScalar.zero()
+            return _ZERO
         big, small = (self, other) if self.logmag > other.logmag else (other, self)
-        return LogScalar(big.sign, big.logmag + log1mexp(big.logmag - small.logmag))
+        return _nonzero(big.sign, big.logmag + log1mexp(big.logmag - small.logmag))
 
     def __sub__(self, other: "LogScalar") -> "LogScalar":
         return self + (-LogScalar.from_float(other))
@@ -220,3 +225,33 @@ class LogScalar:
             return "LogScalar(0)"
         prefix = "-" if self.sign < 0 else ""
         return f"LogScalar({prefix}exp({self.logmag!r}))"
+
+
+_new_scalar = object.__new__
+_set_sign = LogScalar.sign.__set__  # the slots' own setters, which the
+_set_logmag = LogScalar.logmag.__set__  # frozen __setattr__ does not guard
+
+
+def _make(sign: int, logmag: float) -> LogScalar:
+    """A LogScalar from fields known to be valid, without the field check."""
+    scalar = _new_scalar(LogScalar)
+    _set_sign(scalar, sign)
+    _set_logmag(scalar, logmag)
+    return scalar
+
+
+def _nonzero(sign: int, logmag: float) -> LogScalar:
+    """A LogScalar of sign +-1 and a computed logmag, checked by one test.
+
+    From valid operands, arithmetic gives a logmag of -inf only past the
+    float range (such as -1e308 - 1e308) and NaN only from inf - inf
+    (inf/inf, inf + inf); the constructors get NaN only as input.  Each
+    fails ``logmag > -inf`` and goes to the checked constructor, which
+    refuses it.
+    """
+    if logmag > -math.inf:
+        return _make(sign, logmag)
+    return LogScalar(sign, logmag)
+
+
+_ZERO = _make(0, -math.inf)

@@ -27,7 +27,6 @@ eps = 1.04 nats, (14, 13) with 0.420, (14, 12) with 2.70 and (16, 15) with
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,17 +128,19 @@ def hypercube_coefficients(n: int, k: int) -> ChenSteinCoefficients:
     0 <= k <= n; a refusal is an InputError naming the field.
     """
     n, k = _cube_order(n, k, HYPERCUBE_MAX_N)
+    # Each log is ln(exact integer) + j ln 2, one scalar per field.
     c_nk = math.comb(n, k)
-    lam = LogScalar.from_float(c_nk)
-    b1 = LogScalar.from_float((n + 1) * c_nk * c_nk) * LogScalar.from_log(-n * _LN2)
     if k == 0 or k == n:
         b2 = LogScalar.zero()
     else:
-        b2 = LogScalar.from_float(
-            n * math.comb(n - 1, k) * math.comb(n - 1, k - 1)
-        ) * LogScalar.from_log((2 - n) * _LN2)
+        pairs = n * math.comb(n - 1, k) * math.comb(n - 1, k - 1)
+        b2 = LogScalar.from_log(math.log(pairs) + (2 - n) * _LN2)
     return ChenSteinCoefficients(
-        b1=b1, b2=b2, b3=LogScalar.zero(), lam=lam, log2_m=float(n)
+        b1=LogScalar.from_log(math.log((n + 1) * c_nk * c_nk) - n * _LN2),
+        b2=b2,
+        b3=LogScalar.zero(),
+        lam=LogScalar.from_log(math.log(c_nk)),
+        log2_m=float(n),
     )
 
 
@@ -276,6 +277,10 @@ def hypercube_monte_carlo(
     if workers == 1:
         counts = tally(0)
     else:
+        # Imported here: concurrent.futures pulls in logging, which every other
+        # caller of the library would pay for at import.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = sum(pool.map(tally, range(workers)))
 

@@ -51,13 +51,14 @@ SERIES_LAMBDA_CEILING = 1.0e7
 SERIES_ASYMPTOTIC_SWITCH = 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntropyValue:
     """An entropy in nats together with an absolute-error certificate.
 
     ``certified_abs_error`` bounds the whole error of the returned value,
     float rounding included.  For the series route it is proven; for the
-    asymptotic route it is a heuristic (see ``method``).
+    asymptotic route it is a heuristic (see ``method``).  Neither field may
+    be NaN; an infinite error is allowed, since it claims nothing.
     """
 
     nats: float
@@ -65,8 +66,10 @@ class EntropyValue:
     method: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.certified_abs_error < 0.0:
-            raise ValueError("certified_abs_error must be >= 0")
+        if self.nats != self.nats:
+            raise ValueError("nats must not be NaN")
+        if not self.certified_abs_error >= 0.0:
+            raise ValueError(f"certified_abs_error must be >= 0, got {self.certified_abs_error}")
 
 
 class InputError(ValueError):

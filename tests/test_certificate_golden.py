@@ -1,0 +1,132 @@
+"""Bit-identity golden for the closed-form certificate path.
+
+``tests/data/certificate_golden.json`` holds, as ``float.hex`` strings, the
+values that the library path computes from closed forms, with no CLI in
+between.  Each row is a list, and ends with an outcome: the rule, epsilon,
+a_term_log, b_term_log and H(Z) of a report, or "refused" and each check's
+``actual``.
+
+* ``hypercube`` rows are [n, k, lam, b1, b2, tv_upper_agg, *outcome]: the
+  logmags of ``hypercube_coefficients``, ``tv_upper_agg`` of those
+  coefficients and the outcome of ``entropy_bound_general``;
+* ``arithmetic`` rows are [a, n, *outcome] for 200 seeded
+  ``arithmetic_moments`` points through ``best_independent_bound``.
+
+The test requires every bit to match.  Regenerate the file
+(``PYTHONPATH=src python tests/test_certificate_golden.py``) only with a
+change that means to move these numbers, and say which.
+"""
+
+import json
+import math
+import pathlib
+import sys
+
+import numpy as np
+
+from poientropy.bounds import (
+    ConditionViolated,
+    NoApplicableBound,
+    best_independent_bound,
+    entropy_bound_general,
+)
+from poientropy.chenstein import tv_upper_agg
+from poientropy.models import arithmetic_moments, hypercube_coefficients
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "certificate_golden.json"
+
+_ARITHMETIC_SEED = 20120629
+_ARITHMETIC_POINTS = 200
+
+
+def _hypercube_orders() -> list:
+    """Every k for n <= 20, and 12 k per n at larger n, both ends included."""
+    orders = [(n, k) for n in range(1, 21) for k in range(n + 1)]
+    for n in (30, 50, 70, 100, 1000, 10000):
+        ks = {0, 1, 2, n // 4, n // 2, (3 * n) // 4, n - 5, n - 4, n - 3, n - 2, n - 1, n}
+        orders += [(n, k) for k in sorted(ks)]
+    return orders
+
+
+def _arithmetic_points() -> list:
+    """(a, n) with n log-uniform in [1, 1e12] and u = 2 a n log-uniform in
+    [1e-4, 1], so both certified and refused systems occur."""
+    rng = np.random.default_rng(_ARITHMETIC_SEED)
+    points = []
+    for _ in range(_ARITHMETIC_POINTS):
+        n = int(round(10.0 ** rng.uniform(0.0, 12.0)))
+        u = 10.0 ** rng.uniform(-4.0, 0.0)
+        points.append((u / (2.0 * n), n))
+    return points
+
+
+def _outcome(certify, *args) -> list:
+    try:
+        report = certify(*args)
+    except (ConditionViolated, NoApplicableBound) as exc:
+        return ["refused"] + [check.actual.hex() for check in exc.checks]
+    return [report.theorem_id] + [
+        value.hex()
+        for value in (report.epsilon, report.a_term_log, report.b_term_log, report.h_poisson.nats)
+    ]
+
+
+def compute_golden() -> dict:
+    hypercube = []
+    for n, k in _hypercube_orders():
+        coeffs = hypercube_coefficients(n, k)
+        logs = [value.logmag.hex() for value in (coeffs.lam, coeffs.b1, coeffs.b2)]
+        hypercube.append(
+            [n, k, *logs, tv_upper_agg(coeffs).hex(), *_outcome(entropy_bound_general, coeffs)]
+        )
+    arithmetic = [
+        [a.hex(), n, *_outcome(best_independent_bound, arithmetic_moments(a, n))]
+        for a, n in _arithmetic_points()
+    ]
+    return {"hypercube": hypercube, "arithmetic": arithmetic}
+
+
+def test_certificate_path_is_bit_identical():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    now = compute_golden()
+    for part in ("hypercube", "arithmetic"):
+        assert len(now[part]) == len(golden[part])
+        moved = [(old, new) for old, new in zip(golden[part], now[part]) if old != new]
+        assert moved == [], f"{len(moved)} {part} entries moved, first {moved[:1]}"
+
+
+def test_golden_covers_both_outcomes():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert GOLDEN.stat().st_size < 100_000
+    outcomes = {
+        part: [row[6 if part == "hypercube" else 2:] for row in rows]
+        for part, rows in golden.items()
+    }
+    assert {row[0] for row in outcomes["hypercube"]} == {"theorem4", "refused"}
+    assert {row[0] for row in outcomes["arithmetic"]} == {
+        "corollary1", "proposition1", "refused",
+    }
+    # Every certified epsilon reads back as a finite float.
+    assert all(
+        math.isfinite(float.fromhex(row[1]))
+        for rows in outcomes.values() for row in rows if row[0] != "refused"
+    )
+
+
+def _regenerate() -> None:
+    golden = compute_golden()
+    GOLDEN.parent.mkdir(exist_ok=True)
+    # One compact row a line keeps the file small and its diffs readable.
+    parts = [
+        f' "{part}": [\n' + ",\n".join(json.dumps(row, separators=(",", ":")) for row in rows)
+        + "\n ]"
+        for part, rows in golden.items()
+    ]
+    lines = ",\n".join(parts)
+    GOLDEN.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
+    counts = ", ".join(f"{len(v)} {k}" for k, v in golden.items())
+    print(f"wrote {counts} entries to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -542,6 +542,19 @@ class TestModuleInvocation:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_does_not_load_thread_pools(self):
+        # concurrent.futures (and logging with it) is for the multi-threaded
+        # simulator alone, so it is imported where that runs.
+        code = (
+            "import sys, poientropy, poientropy.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 _COEFF_TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),

@@ -274,6 +274,18 @@ class TestPmfEntropy:
         with pytest.raises(ValueError):
             Pmf([1.2, -0.2])
 
+    @pytest.mark.parametrize(
+        "mass",
+        [[math.nan, 0.5, 0.5], [0.5, 0.5, math.nan], [math.nan], [0.5, math.inf, 0.5]],
+    )
+    def test_non_numbers_are_refused(self, mass):
+        # A NaN entry fails both "< 0" and "|sum - 1| > 1e-10", so it must be
+        # refused by tests that a NaN cannot pass.
+        with pytest.raises(ValueError, match="pmf"):
+            Pmf(mass)
+        with pytest.raises(ValueError, match="pmf"):
+            pmf_entropy(mass)
+
 
 class TestTvToPoisson:
     def test_hand_computed_single_variable(self):
@@ -303,6 +315,13 @@ class TestTvToPoisson:
             tv_to_poisson(pmf, 0.0)
         with pytest.raises(ValueError):
             tv_to_poisson(pmf, 1.0, tol=-1.0)
+
+    def test_rejects_nan_mass(self):
+        # Once returned as 0.0 through the final clamp.
+        with pytest.raises(ValueError, match="pmf"):
+            tv_to_poisson([math.nan, 0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="pmf"):
+            tv_to_poisson([0.5, 0.5, math.nan], 1.0)
 
 
 class TestOracleAgainstBounds:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -159,3 +160,72 @@ class TestLogScalar:
     def test_multiplication_matches_floats(self, a, b):
         product = (a * b).to_float()
         assert product == pytest.approx(a.to_float() * b.to_float(), rel=1e-12)
+
+
+class TestLogScalarValueContract:
+    """What every LogScalar promises, however it was made: it is frozen,
+    hashes by value, never holds NaN, and keeps its arithmetic on the class
+    (where tracing code can wrap it)."""
+
+    @staticmethod
+    def _made_every_way():
+        three = LogScalar.from_float(3.0)
+        return {
+            "constructed": LogScalar(1, 1.5),
+            "sum": three + LogScalar.from_float(4.0),
+            "difference": three - LogScalar.from_float(10.0),
+            "product": three * three,
+            "quotient": three / LogScalar.from_float(2.0),
+            "negation": -three,
+            "from_log": LogScalar.from_log(-700.0),
+            "from_float": three,
+            "zero": LogScalar.zero(),
+            "one": LogScalar.one(),
+        }
+
+    @pytest.mark.parametrize("field", ["sign", "logmag"])
+    def test_fields_cannot_be_assigned(self, field):
+        for how, value in self._made_every_way().items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, 1)
+            assert not hasattr(value, "__dict__"), how
+
+    def test_equal_values_hash_equally(self):
+        three = LogScalar.from_float(3.0)
+        pairs = [
+            (LogScalar(1, math.log(9.0)), three * three),
+            (LogScalar(1, math.log(3.0)), LogScalar.from_log(math.log(3.0))),
+            (LogScalar(-1, math.log(3.0)), -three),
+            (LogScalar(0, -math.inf), three - three),
+            (LogScalar(0, -math.inf), LogScalar.zero()),
+            (LogScalar(1, 0.0), LogScalar.one()),
+        ]
+        for built, computed in pairs:
+            assert built == computed
+            assert hash(built) == hash(computed)
+        assert len({three * three, LogScalar(1, math.log(9.0)), three}) == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LogScalar.from_log(math.nan),
+            lambda: LogScalar.from_float(math.nan),
+            lambda: LogScalar.from_log(math.inf) / LogScalar.from_log(math.inf),
+            lambda: LogScalar.from_log(math.inf) + LogScalar.from_log(math.inf),
+            lambda: LogScalar(1, math.nan),
+        ],
+        ids=["from_log", "from_float", "inf/inf", "inf+inf", "constructor"],
+    )
+    def test_nan_is_refused(self, make):
+        with pytest.raises(ValueError, match="NaN"):
+            make()
+
+    def test_underflow_past_the_float_range_is_refused(self):
+        tiny = LogScalar.from_log(-1e308)
+        with pytest.raises(ValueError):
+            tiny * tiny
+
+    def test_arithmetic_lives_on_the_class(self):
+        methods = vars(LogScalar)
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+            assert callable(methods[name]), name

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 from fractions import Fraction
@@ -194,7 +195,9 @@ class TestHypercubeMonteCarlo:
 
     def test_small_dimensions_run_on_one_thread(self, monkeypatch):
         # Below _MC_PARALLEL_MIN_N a second worker costs more than it saves.
-        monkeypatch.setattr(models, "ThreadPoolExecutor", None)
+        # The simulator imports its pool only where it runs threads, so the
+        # pool is taken away where that import reads it.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
         mc = hypercube_monte_carlo(_MC_PARALLEL_MIN_N - 1, 3, 3 * 4096, 0, threads=2)
         assert int(mc.counts.sum()) == 3 * 4096
 

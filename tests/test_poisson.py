@@ -9,6 +9,7 @@ from poientropy.exact import tv_to_poisson
 from poientropy.poisson import (
     SERIES_ASYMPTOTIC_SWITCH,
     SERIES_LAMBDA_CEILING,
+    EntropyValue,
     binomial_entropy,
     chen_stein_residual,
     poisson_entropy,
@@ -414,3 +415,23 @@ class TestToleranceValidation:
             poisson_entropy_series(5.0, tol=tol)
         with pytest.raises(ValueError, match="tol"):
             poisson_entropy(5e6, tol=tol)
+
+
+class TestEntropyValue:
+    @pytest.mark.parametrize(
+        "nats, error, field",
+        [
+            (math.nan, 0.0, "nats"),
+            (1.0, math.nan, "certified_abs_error"),
+            (math.nan, math.nan, "nats"),
+            (1.0, -1e-300, "certified_abs_error"),
+        ],
+    )
+    def test_refuses_nan_and_negative_error(self, nats, error, field):
+        with pytest.raises(ValueError, match=field):
+            EntropyValue(nats=nats, certified_abs_error=error)
+
+    def test_infinite_error_is_vacuous_not_wrong(self):
+        value = EntropyValue(nats=1.0, certified_abs_error=math.inf, method="series")
+        assert value.certified_abs_error == math.inf
+        assert EntropyValue(0.0, 0.0) == EntropyValue(0.0, 0.0, method="other")
