@@ -11,11 +11,22 @@ whose factor (1, 0) multiplies exactly), and every block's polynomial is
 built by the two-tap update vectorised across blocks.  Adjacent pieces are
 then merged pairwise with ``np.convolve``, level by level, while the merged
 pieces stay at or under ``_MAX_DOT`` entries, and the pieces left are folded
-left to right.  Every piece keeps only the run from its first to its last
-nonzero entry, with that run's offset, so entries that underflowed to
-exactly 0.0 (most of them when the p_i are small, and both ends once n is
-in the thousands) are never convolved again; nothing else is dropped.  That
-is about 2 sqrt(n) Python-level steps for at most n^2 / 2 multiply-adds.
+left to right.  That is about 2 sqrt(n) Python-level steps for at most
+n^2 / 2 multiply-adds.
+
+Every piece holds its true entries times 2^510, and keeps only the run from
+its first to its last entry whose true value is at least 2^-1074, the
+smallest subnormal, with that run's offset.  So at each merge an entry
+whose true value is under 2^-1074 is dropped, and nothing else is; such
+entries (most of them when the p_i are small, and both ends once n is in
+the thousands) are never convolved again.  The scale keeps the kept
+entries, and their products, out of the subnormal range, where x86 takes
+microcode assists that made the convolutions several times slower.  Each
+convolution's output is multiplied by 2^-510, exactly, and the final band
+once more, which is the only step that can round into the subnormal range.
+Nothing overflows: a piece's scaled mass is about 2^510, so a product's is
+about 2^1020 < 2^1024.
+
 Every term is non-negative, so there is no cancellation and no entry can go
 negative.  This is deliberately the trustworthy route: every analytic bound
 in the package is tested against the pmf, entropy and exact total variation
@@ -49,6 +60,13 @@ __all__ = [
 DEFAULT_MAX_N = 100_000
 
 _SMALLEST_SUBNORMAL = math.ulp(0.0)
+
+# Scale of every piece in ``exact_distribution``: a piece holds its true
+# entries times _SCALE, and _FLOOR is the scaled image of 2^-1074, below
+# which ``_band`` drops an end entry.
+_SCALE = math.ldexp(1.0, 510)
+_UNSCALE = math.ldexp(1.0, -510)
+_FLOOR = math.ldexp(1.0, 510 - 1074)
 
 # Longest piece the tree in ``exact_distribution`` builds, and so the longest
 # dot product its convolutions take.  It sits well below the 10 000 terms
@@ -116,12 +134,28 @@ def _as_probs(system) -> np.ndarray:
 
 
 def _band(values: np.ndarray, offset: int):
-    """The run of ``values`` from its first to its last nonzero entry, and
-    the offset of that run.  Only exact zeros are dropped."""
-    if values[0] != 0.0 and values[-1] != 0.0:
+    """The run of the scaled piece ``values`` from its first to its last
+    entry at or above ``_FLOOR``, and the offset of that run.
+
+    Only end entries whose true value is under 2^-1074, the smallest
+    subnormal, are dropped: the result could hold none of them.  The pmf of
+    a Bernoulli sum is log-concave, so every entry inside the run is at
+    least the smaller of its two ends."""
+    if values[0] >= _FLOOR and values[-1] >= _FLOOR:
         return offset, values
-    nonzero = np.flatnonzero(values)
-    return offset + int(nonzero[0]), values[nonzero[0] : nonzero[-1] + 1]
+    kept = np.flatnonzero(values >= _FLOOR)
+    return offset + int(kept[0]), values[kept[0] : kept[-1] + 1]
+
+
+def _merge(a: np.ndarray, b: np.ndarray, offset: int):
+    """The band of the product of two scaled pieces, scaled back to 2^510.
+
+    Both scaled masses are about 2^510, so the convolution's entries stay
+    under 2^1023, and multiplying by 2^-510 is exact for every entry the
+    band keeps."""
+    product = np.convolve(a, b)
+    product *= _UNSCALE
+    return _band(product, offset)
 
 
 def exact_distribution(system) -> Pmf:
@@ -129,7 +163,13 @@ def exact_distribution(system) -> Pmf:
 
     The ceil(sqrt(n))-wide block polynomials are merged pairwise while the
     merged pieces stay at or under ``_MAX_DOT`` entries, then folded left to
-    right; after every convolution a piece is cut to its nonzero band.
+    right.  Every piece holds its true entries times 2^510, from the block
+    build on, and after every convolution it is scaled back to 2^510 and cut
+    to the band of entries whose true value is at least 2^-1074.  So each
+    merge drops only entries under the smallest subnormal, no convolution
+    takes a subnormal operand, and none can overflow (a piece's scaled mass
+    is about 2^510, a product's about 2^1020).  The final band is scaled by
+    2^-510 once, the one step that can round into the subnormal range.
 
     Determinism: np.convolve takes dot products as long as its shorter
     operand, and no tree operand or fold piece is longer than
@@ -157,7 +197,7 @@ def exact_distribution(system) -> Pmf:
     # multiplies every column by (1 - p, p), p from row j of ``padded``;
     # only the first j + 2 rows can be nonzero by then.
     poly = np.zeros((width + 1, blocks), dtype=np.float64)
-    poly[0] = 1.0
+    poly[0] = _SCALE
     for j in range(width):
         p = padded[j]
         head = poly[: j + 2]
@@ -170,13 +210,13 @@ def exact_distribution(system) -> Pmf:
         pairs = list(zip(pieces[0::2], pieces[1::2]))
         if max(a.size + b.size - 1 for (_, a), (_, b) in pairs) > _MAX_DOT:
             break
-        merged = [_band(np.convolve(a, b), i + j) for (i, a), (j, b) in pairs]
+        merged = [_merge(a, b, i + j) for (i, a), (j, b) in pairs]
         pieces = merged + pieces[len(pairs) * 2 :]
     offset, band = pieces[0]
     for i, piece in pieces[1:]:
-        offset, band = _band(np.convolve(band, piece), offset + i)
+        offset, band = _merge(band, piece, offset + i)
     mass = np.zeros(n + 1, dtype=np.float64)
-    mass[offset : offset + band.size] = band
+    mass[offset : offset + band.size] = band * _UNSCALE
     return Pmf(mass)
 
 

@@ -80,6 +80,7 @@ class TestExactDistribution:
 # precision of every entry above _SMALLEST_NORMAL.
 _REF_BITS = 1400
 _SMALLEST_NORMAL = 2.2250738585072014e-308
+_SMALLEST_SUBNORMAL = math.ulp(0.0)
 
 
 def _reference_pmf(probs):
@@ -115,6 +116,10 @@ class TestAgainstHighPrecisionReference:
         for got, want in zip(pmf.mass, reference):
             if want >= _SMALLEST_NORMAL:
                 assert abs(got - want) <= 1e-13 * want
+            else:
+                # The subnormal tail is rounded once, from normal scaled
+                # values, so it stays within two of its units.
+                assert abs(got - want) <= 2 * _SMALLEST_SUBNORMAL
         with mpmath.workdps(40):
             entropy = -mpmath.fsum(w * mpmath.log(w) for w in reference if w > 0)
         assert abs(pmf_entropy(pmf).nats - float(entropy)) <= 1e-13
@@ -174,13 +179,22 @@ class TestBandedTree:
 
     @pytest.fixture
     def convolutions(self, monkeypatch):
-        """The operand lengths of every np.convolve call, in order."""
+        """The operand lengths of every np.convolve call, in order.
+
+        Every call must also stay out of subnormal arithmetic and clear of
+        overflow: each operand entry finite and at least 2^-564 (the scaled
+        image of the smallest subnormal), each output entry below 2^1023."""
         calls = []
         convolve = np.convolve
 
         def spy(a, v):
             calls.append((len(a), len(v)))
-            return convolve(a, v)
+            for operand in (a, v):
+                assert np.all(np.isfinite(operand))
+                assert np.min(operand) >= 2.0**-564
+            out = convolve(a, v)
+            assert np.max(out) < 2.0**1023
+            return out
 
         monkeypatch.setattr(np, "convolve", spy)
         return calls
@@ -201,7 +215,7 @@ class TestBandedTree:
         # Trimmed to its band, every piece merges in the tree.
         assert all(a + v - 1 <= exact._MAX_DOT for a, v in convolutions)
 
-    def test_scattered_pinned_entries(self):
+    def test_scattered_pinned_entries(self, convolutions):
         rng = np.random.default_rng(3000)
         probs = rng.uniform(0.0, 0.5, 3000)
         probs[rng.choice(3000, 1500, replace=False)] = rng.choice([0.0, 1.0], 1500)
@@ -223,6 +237,33 @@ class TestBandedTree:
         # Only a fold step can make a piece longer than _MAX_DOT.
         assert any(a + v - 1 > exact._MAX_DOT for a, v in convolutions) == folds
         assert max(min(pair) for pair in convolutions) <= exact._MAX_DOT
+
+    def test_no_subnormal_operand_at_n_30000(self, convolutions):
+        # The system of the BLAS-thread test: its tails run below 1e-308 in
+        # every merge from the first tree level on.
+        probs = np.random.default_rng(2012).uniform(0.0, 0.5, 30_000)
+        mass = exact_distribution(probs).mass
+        assert mass[0] == 0.0 and mass[-1] == 0.0
+        mean = float(np.dot(np.arange(mass.size), mass))
+        assert mean == pytest.approx(math.fsum(probs), rel=1e-12)
+        assert len(convolutions) > 100
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_cap_is_finite_and_normalised(self, convolutions, pinned):
+        # At n = DEFAULT_MAX_N the scaled products come closest to overflow
+        # (the spy bounds every output by 2^1023), and with 50 000 ones the
+        # band must start at exactly their count.
+        n = DEFAULT_MAX_N
+        rng = np.random.default_rng(n)
+        if pinned:
+            probs = np.concatenate([np.ones(n // 2), rng.uniform(0.0, 1e-3, n // 2)])
+        else:
+            probs = rng.uniform(0.0, 1.0, n)
+        mass = exact_distribution(probs).mass
+        assert np.all(np.isfinite(mass))
+        assert Pmf(mass).support_size == n + 1
+        if pinned:
+            assert np.flatnonzero(mass)[0] == n // 2
 
 
 def _mass_digest(threads):

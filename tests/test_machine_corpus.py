@@ -16,6 +16,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -98,6 +99,16 @@ _HYPERCUBE = (
 # any change to the simulator's kernel must reproduce its counts exactly.
 _SIMULATE = ((3, 1, 100, 7), (6, 4, 5000, 2012), (9, 8, 8292, 321))
 
+# (n, p_max, seed) of exact-oracle systems: n <= 200, so that the pmf is
+# printed, and every printed entry at least 1e-300, so that each is a
+# rounding of a normal double and no subnormal tail is pinned.
+_EXACT = ((5, 1.0, 1), (40, 0.02, 2), (80, 0.5, 3), (120, 0.1, 4), (200, 0.5, 5), (200, 1.0, 6))
+
+
+def _exact_probs(n: int, p_max: float, seed: int) -> str:
+    rng = random.Random(seed)
+    return ",".join(f"{rng.uniform(0.0, p_max):.4g}" for _ in range(n))
+
 
 def corpus_commands() -> list:
     """The corpus argv lists, in replay order."""
@@ -128,6 +139,8 @@ def corpus_commands() -> list:
         commands.append(["entropy-bound", "--spec", name, *machine])
         commands.append(["tv-bounds", "--spec", name, *machine])
     commands.append(["entropy-bound", "--spec", "window.json", "--rule", "theorem4", *machine])
+    for n, p_max, seed in _EXACT:
+        commands.append(["exact", "--probs", _exact_probs(n, p_max, seed), *machine])
     return commands
 
 
