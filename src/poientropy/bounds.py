@@ -43,7 +43,6 @@ from typing import Sequence
 from .chenstein import (
     ChenSteinCoefficients,
     MomentSummary,
-    coefficients_independent,
     log_bh_factor,
     log_tv_upper_agg,
 )
@@ -294,7 +293,7 @@ def g_of_p(moments: MomentSummary) -> float:
     return 2.0 * theta * min(branch_tv, branch_sharp)
 
 
-def _independent_terms(moments: MomentSummary) -> dict:
+def _independent_terms(moments: MomentSummary, log_lam: float) -> dict:
     """ln of each independent-case rule's coefficient, with its checks.
 
     Both rules need c = ((1 - e^-lam)/lam) sum p_i^2 <= 1/4 and
@@ -303,7 +302,7 @@ def _independent_terms(moments: MomentSummary) -> dict:
     if moments.sum_p_squared == 0.0:
         log_c = -math.inf
     else:
-        log_c = math.log(moments.sum_p_squared) + log_bh_factor(math.log(moments.lam))
+        log_c = math.log(moments.sum_p_squared) + log_bh_factor(log_lam)
     c = _saturating_exp(log_c)
     limit = float(moments.m - 1)
     shared = (
@@ -327,10 +326,13 @@ def _independent_bound(
     """The smallest certificate among ``rules`` whose checks hold.
 
     Ties go to the plain rule.  H(Z) and b(lam) are evaluated once for all
-    of the rules.  If none applies, raises ``refusal`` with every check of
-    every rule, a check the rules share listed once.
+    of the rules, from ln(lam), ln(m - 1) and ln(m + 2) taken here by the
+    same ``math.log`` calls as ``coefficients_independent``'s.  If none
+    applies, raises ``refusal`` with every check of every rule, a check the
+    rules share listed once.
     """
-    terms = _independent_terms(moments)
+    log_lam = math.log(moments.lam)
+    terms = _independent_terms(moments, log_lam)
     applicable = [rule for rule in rules if all(c.satisfied for c in terms[rule][1])]
     if not applicable:
         checks = {}
@@ -338,12 +340,12 @@ def _independent_bound(
             for check in terms[rule][1]:
                 checks.setdefault((check.name, check.required, check.actual), check)
         raise refusal(checks.values())
-    coeffs = coefficients_independent(moments)
-    h = _entropy(moments.lam, coeffs.lam.logmag, tol)
-    log_b = _log_b(coeffs.lam.logmag, coeffs.log_m_minus_1)
+    # Every applicable rule requires lam <= m - 1, so m >= 2 here.
+    h = _entropy(moments.lam, log_lam, tol)
+    log_b = _log_b(log_lam, math.log(moments.m - 1))
+    log_m2 = math.log(moments.m + 2)
     candidates = [
-        _report(rule, moments.lam, *terms[rule], h, log_b, coeffs.log_m_plus_2)
-        for rule in applicable
+        _report(rule, moments.lam, *terms[rule], h, log_b, log_m2) for rule in applicable
     ]
     return min(candidates, key=lambda r: (r.epsilon, r.theorem_id != RULE_INDEPENDENT))
 

@@ -36,11 +36,12 @@ distance produced here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from .poisson import (
     EntropyValue,
+    InputError,
     _check_lambda,
     _check_tol,
     _log_pmf_ratios,
@@ -78,30 +79,39 @@ _MAX_DOT = 2048
 
 @dataclass(frozen=True)
 class BernoulliSystem:
-    """An independent Bernoulli system given by its success probabilities."""
+    """An independent Bernoulli system given by its success probabilities.
+
+    The probabilities are copied into a read-only 1-d array and checked in
+    one pass, and lam = sum p_i and sum p_i^2 are summed once, here.  A
+    refusal is an InputError naming ``probs``.
+    """
 
     probs: np.ndarray
+    lam: float = field(init=False, repr=False, compare=False)
+    sum_p_squared: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, probs):
-        probs = np.atleast_1d(np.asarray(probs, dtype=np.float64))
+        try:
+            probs = np.array(probs, dtype=np.float64, ndmin=1)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError("probs", str(exc)) from None
+        if probs.ndim != 1:
+            raise InputError(
+                "probs", f"probabilities must form a 1-d list, got shape {probs.shape}"
+            )
         if probs.size == 0:
-            raise ValueError("a Bernoulli system needs at least one variable")
-        if np.any(probs < 0.0) or np.any(probs > 1.0) or not np.all(np.isfinite(probs)):
-            raise ValueError("all probabilities must lie in [0, 1]")
+            raise InputError("probs", "a Bernoulli system needs at least one variable")
+        # Both comparisons are false for NaN, and one of them for +-inf.
+        if not ((probs >= 0.0) & (probs <= 1.0)).all():
+            raise InputError("probs", "all probabilities must lie in [0, 1]")
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "lam", float(np.add.reduce(probs)))
+        object.__setattr__(self, "sum_p_squared", float(np.add.reduce(probs * probs)))
 
     @property
     def n(self) -> int:
         return int(self.probs.size)
-
-    @property
-    def lam(self) -> float:
-        """Mean of the sum, lam = sum p_i."""
-        return float(np.sum(self.probs))
-
-    @property
-    def sum_p_squared(self) -> float:
-        return float(np.sum(self.probs**2))
 
 
 @dataclass(frozen=True)
@@ -193,17 +203,18 @@ def exact_distribution(system) -> Pmf:
     padded = np.zeros(blocks * width, dtype=np.float64)
     padded[:n] = probs
     padded = padded.reshape(blocks, width).T.copy()
+    complement = 1.0 - padded
     # Column b is block b's polynomial, lowest degree first.  Step j
     # multiplies every column by (1 - p, p), p from row j of ``padded``;
     # only the first j + 2 rows can be nonzero by then.
     poly = np.zeros((width + 1, blocks), dtype=np.float64)
     poly[0] = _SCALE
+    shifted = np.empty((width, blocks), dtype=np.float64)
     for j in range(width):
-        p = padded[j]
         head = poly[: j + 2]
-        shifted = head[:-1] * p
-        head *= 1.0 - p
-        head[1:] += shifted
+        np.multiply(head[:-1], padded[j], out=shifted[: j + 1])
+        head *= complement[j]
+        head[1:] += shifted[: j + 1]
 
     pieces = [_band(column, 0) for column in poly.T]
     while len(pieces) > 1:

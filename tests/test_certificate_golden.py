@@ -1,18 +1,23 @@
-"""Bit-identity golden for the closed-form certificate path.
+"""Bit-identity golden for the certificate path.
 
 ``tests/data/certificate_golden.json`` holds, as ``float.hex`` strings, the
 values that the library path computes from closed forms, with no CLI in
-between.  Each row is a list, and ends with an outcome: the rule, epsilon,
-a_term_log, b_term_log and H(Z) of a report, or "refused" and each check's
-``actual``.
+between, and ``tests/data/independent_golden.json`` those it computes for
+explicit independent systems.  Each row is a list, and ends with an
+outcome: the rule, epsilon, a_term_log, b_term_log and H(Z) of a report,
+or "refused" and each check's ``actual``.
 
 * ``hypercube`` rows are [n, k, lam, b1, b2, tv_upper_agg, *outcome]: the
   logmags of ``hypercube_coefficients``, ``tv_upper_agg`` of those
   coefficients and the outcome of ``entropy_bound_general``;
 * ``arithmetic`` rows are [a, n, *outcome] for 200 seeded
-  ``arithmetic_moments`` points through ``best_independent_bound``.
+  ``arithmetic_moments`` points through ``best_independent_bound``;
+* ``independent`` rows are [n, p_max, tv, best, general] for 102 seeded
+  ``BernoulliSystem``s (n from 20 to 5000, p ~ U(0, p_max)): ``tv_to_poisson``
+  of the exact pmf, and the outcomes of ``best_independent_bound`` and of
+  ``entropy_bound_general(coefficients_independent(system))``.
 
-The test requires every bit to match.  Regenerate the file
+The test requires every bit to match.  Regenerate the files
 (``PYTHONPATH=src python tests/test_certificate_golden.py``) only with a
 change that means to move these numbers, and say which.
 """
@@ -30,13 +35,22 @@ from poientropy.bounds import (
     best_independent_bound,
     entropy_bound_general,
 )
-from poientropy.chenstein import tv_upper_agg
+from poientropy.chenstein import MomentSummary, coefficients_independent, tv_upper_agg
+from poientropy.exact import BernoulliSystem, exact_distribution, tv_to_poisson
 from poientropy.models import arithmetic_moments, hypercube_coefficients
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "certificate_golden.json"
+_DATA = pathlib.Path(__file__).parent / "data"
+# Each golden file with the parts it holds.
+GOLDEN = {
+    _DATA / "certificate_golden.json": ("hypercube", "arithmetic"),
+    _DATA / "independent_golden.json": ("independent",),
+}
 
 _ARITHMETIC_SEED = 20120629
 _ARITHMETIC_POINTS = 200
+_INDEPENDENT_SEED = 20120702
+_INDEPENDENT_SYSTEMS = 102
+_INDEPENDENT_P_MAX = (0.02, 0.1, 0.5)
 
 
 def _hypercube_orders() -> list:
@@ -58,6 +72,18 @@ def _arithmetic_points() -> list:
         u = 10.0 ** rng.uniform(-4.0, 0.0)
         points.append((u / (2.0 * n), n))
     return points
+
+
+def _independent_systems() -> list:
+    """(n, p_max, system) with n log-uniform in [20, 5000] and p ~ U(0, p_max),
+    p_max taking each of 0.02, 0.1 and 0.5 in turn."""
+    rng = np.random.default_rng(_INDEPENDENT_SEED)
+    systems = []
+    for i in range(_INDEPENDENT_SYSTEMS):
+        n = int(round(10.0 ** rng.uniform(math.log10(20.0), math.log10(5000.0))))
+        p_max = _INDEPENDENT_P_MAX[i % len(_INDEPENDENT_P_MAX)]
+        systems.append((n, p_max, BernoulliSystem(rng.uniform(0.0, p_max, n))))
+    return systems
 
 
 def _outcome(certify, *args) -> list:
@@ -83,29 +109,52 @@ def compute_golden() -> dict:
         [a.hex(), n, *_outcome(best_independent_bound, arithmetic_moments(a, n))]
         for a, n in _arithmetic_points()
     ]
-    return {"hypercube": hypercube, "arithmetic": arithmetic}
+    independent = [
+        [
+            n,
+            p_max,
+            tv_to_poisson(exact_distribution(system), system.lam).hex(),
+            _outcome(best_independent_bound, MomentSummary.from_probs(system)),
+            _outcome(entropy_bound_general, coefficients_independent(system)),
+        ]
+        for n, p_max, system in _independent_systems()
+    ]
+    return {"hypercube": hypercube, "arithmetic": arithmetic, "independent": independent}
+
+
+def _load_golden() -> dict:
+    golden = {}
+    for path in GOLDEN:
+        golden.update(json.loads(path.read_text(encoding="utf-8")))
+    return golden
 
 
 def test_certificate_path_is_bit_identical():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = _load_golden()
     now = compute_golden()
-    for part in ("hypercube", "arithmetic"):
+    for part in ("hypercube", "arithmetic", "independent"):
         assert len(now[part]) == len(golden[part])
         moved = [(old, new) for old, new in zip(golden[part], now[part]) if old != new]
         assert moved == [], f"{len(moved)} {part} entries moved, first {moved[:1]}"
 
 
 def test_golden_covers_both_outcomes():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert GOLDEN.stat().st_size < 100_000
+    golden = _load_golden()
+    assert all(path.stat().st_size < 100_000 for path in GOLDEN)
     outcomes = {
-        part: [row[6 if part == "hypercube" else 2:] for row in rows]
-        for part, rows in golden.items()
+        "hypercube": [row[6:] for row in golden["hypercube"]],
+        "arithmetic": [row[2:] for row in golden["arithmetic"]],
+        "independent best": [row[3] for row in golden["independent"]],
+        "independent general": [row[4] for row in golden["independent"]],
     }
     assert {row[0] for row in outcomes["hypercube"]} == {"theorem4", "refused"}
     assert {row[0] for row in outcomes["arithmetic"]} == {
         "corollary1", "proposition1", "refused",
     }
+    assert {row[0] for row in outcomes["independent best"]} == {
+        "corollary1", "proposition1", "refused",
+    }
+    assert {row[0] for row in outcomes["independent general"]} == {"theorem4", "refused"}
     # Every certified epsilon reads back as a finite float.
     assert all(
         math.isfinite(float.fromhex(row[1]))
@@ -115,17 +164,19 @@ def test_golden_covers_both_outcomes():
 
 def _regenerate() -> None:
     golden = compute_golden()
-    GOLDEN.parent.mkdir(exist_ok=True)
-    # One compact row a line keeps the file small and its diffs readable.
-    parts = [
-        f' "{part}": [\n' + ",\n".join(json.dumps(row, separators=(",", ":")) for row in rows)
-        + "\n ]"
-        for part, rows in golden.items()
-    ]
-    lines = ",\n".join(parts)
-    GOLDEN.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
-    counts = ", ".join(f"{len(v)} {k}" for k, v in golden.items())
-    print(f"wrote {counts} entries to {GOLDEN}", file=sys.stderr)
+    _DATA.mkdir(exist_ok=True)
+    for path, names in GOLDEN.items():
+        # One compact row a line keeps the file small and its diffs readable.
+        parts = [
+            f' "{part}": [\n'
+            + ",\n".join(json.dumps(row, separators=(",", ":")) for row in golden[part])
+            + "\n ]"
+            for part in names
+        ]
+        lines = ",\n".join(parts)
+        path.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
+        counts = ", ".join(f"{len(golden[part])} {part}" for part in names)
+        print(f"wrote {counts} entries to {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from poientropy.exact import (
     pmf_entropy,
     tv_to_poisson,
 )
-from poientropy.poisson import binomial_entropy, poisson_entropy_series
+from poientropy.poisson import InputError, binomial_entropy, poisson_entropy_series
 
 # Hand computation for probs=[0.1] against Po(0.1): the only positive part of
 # the difference is at k=1, so d_TV = 0.1 - 0.1 e^-0.1.
@@ -72,6 +72,49 @@ class TestExactDistribution:
             BernoulliSystem([0.5, 1.5])
         with pytest.raises(ValueError):
             BernoulliSystem([-0.1])
+
+
+class TestBernoulliSystem:
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([], "at least one variable"),
+            ([0.5, 1.5], r"lie in \[0, 1\]"),
+            ([-0.1], r"lie in \[0, 1\]"),
+            ([0.5, math.nan], r"lie in \[0, 1\]"),
+            ([math.inf], r"lie in \[0, 1\]"),
+            ([-math.inf, 0.5], r"lie in \[0, 1\]"),
+            (["abc"], "could not convert"),
+        ],
+    )
+    def test_refusals_name_probs(self, probs, message):
+        with pytest.raises(InputError, match=message) as refused:
+            BernoulliSystem(probs)
+        assert refused.value.field == "probs"
+
+    @pytest.mark.parametrize("probs", [[[0.1, 0.2], [0.3, 0.4]], [[0.5]], [[]], np.zeros((2, 1, 2))])
+    def test_refuses_inputs_that_are_not_1d(self, probs):
+        # [[0.1, 0.2], [0.3, 0.4]] was once read as n = 4, lam = 1.0.
+        for build in (BernoulliSystem, MomentSummary.from_probs, exact_distribution):
+            with pytest.raises(InputError, match="1-d") as refused:
+                build(probs)
+            assert refused.value.field == "probs"
+
+    def test_a_scalar_is_one_variable(self):
+        system = BernoulliSystem(0.25)
+        assert (system.n, system.lam, system.sum_p_squared) == (1, 0.25, 0.0625)
+
+    def test_moments_are_the_sums_of_its_own_copy(self):
+        probs = np.random.default_rng(4).uniform(0.0, 0.3, 1000)
+        system = BernoulliSystem(probs)
+        assert system.lam == float(np.sum(probs))
+        assert system.sum_p_squared == float(np.sum(probs**2))
+        # The caller's array is copied, and the copy cannot be written, so
+        # the moments summed at construction stay those of system.probs.
+        probs[:] = 1.0
+        assert system.lam == float(np.sum(system.probs)) < 1000.0
+        with pytest.raises(ValueError):
+            system.probs[0] = 1.0
 
 
 # Fractional bits of the fixed-point reference below.  The recurrence is a

@@ -39,3 +39,24 @@ def test_tracer_counts_logscalar_arithmetic_of_a_certificate():
     assert tracer.op_counts[0]["logscalar_ops"] > 0
     name_id = tracer.names.index("bounds.entropy_bound_general")
     assert (name_id, 0) in zip(tracer.name, tracer.op)
+
+
+def test_tracer_wraps_the_poisson_entropy_series():
+    # Each call of the series route, direct or through poisson_entropy, is a
+    # span of its own.
+    from poientropy import poisson
+
+    tracer = _load_trace().Tracer()
+    original = poisson.poisson_entropy_series
+    tracer.install()
+    try:
+        assert poisson.poisson_entropy_series is not original
+        tracer.begin_op(0)
+        poisson.poisson_entropy_series(2.5)
+        poisson.poisson_entropy(2.5)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert poisson.poisson_entropy_series is original
+    name_id = tracer.names.index("poisson.poisson_entropy_series")
+    assert list(tracer.name).count(name_id) == 2
