@@ -51,6 +51,7 @@ from .poisson import (
     EntropyValue,
     _check_tol,
     _poisson_entropy_log_mean,
+    _slot_init,
     poisson_entropy,
 )
 
@@ -77,7 +78,8 @@ RULE_INDEPENDENT = "corollary1"
 RULE_INDEPENDENT_SHARP = "proposition1"
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class ConditionCheck:
     """One recorded hypothesis check: ``name`` must not exceed ``required``."""
 
@@ -88,17 +90,25 @@ class ConditionCheck:
 
 
 class _FailedChecks(ValueError):
-    """Base of the refusals: keeps ``checks`` and lists the failed ones."""
+    """Base of the refusals: keeps ``checks`` and lists the failed ones.
+
+    ``args`` is ``(checks,)``, so a refusal pickles and copies; the message
+    is formatted only when it is read.
+    """
 
     headline = ""
 
     def __init__(self, checks: Sequence[ConditionCheck]):
         self.checks = list(checks)
-        failed = [c for c in self.checks if not c.satisfied]
+        super().__init__(self.checks)
+
+    def __str__(self) -> str:
         detail = "; ".join(
-            f"{c.name} <= {c.required:g} violated (actual {c.actual:g})" for c in failed
+            f"{c.name} <= {c.required:g} violated (actual {c.actual:g})"
+            for c in self.checks
+            if not c.satisfied
         )
-        super().__init__(f"{self.headline}: {detail}")
+        return f"{self.headline}: {detail}"
 
 
 class ConditionViolated(_FailedChecks):
@@ -113,7 +123,8 @@ class NoApplicableBound(_FailedChecks):
     headline = "no applicable bound"
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class EntropyBoundReport:
     """A certified enclosure of H(W) around the Poisson entropy H(Z).
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .exact import BernoulliSystem
 from .logspace import LogScalar, _saturating_exp, log1mexp, log_sum_exp
-from .poisson import InputError, _check_lambda, _integer
+from .poisson import InputError, _check_lambda, _integer, _real, _slot_init
 
 __all__ = [
     "DependencySpec",
@@ -138,6 +139,7 @@ def _index_set_size(raw) -> int:
 
 
 def _check_sum_p_squared(value: float) -> None:
+    value = _real(value, "sum_p_squared")
     if not (math.isfinite(value) and value >= 0.0):
         raise InputError("sum_p_squared", f"sum_p_squared must be finite and >= 0, got {value}")
 
@@ -328,7 +330,8 @@ def _indexed_field(raw, m: int, name: str) -> list:
     return raw
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class ChenSteinCoefficients:
     """The (b1, b2, b3, lam) tuple plus the index-set size.
 
@@ -350,13 +353,13 @@ class ChenSteinCoefficients:
         for name, raw in zip(_COEFFICIENT_FIELDS, (self.b1, self.b2, self.b3, self.lam)):
             value = _coefficient(name, raw)
             if value is not raw:
-                object.__setattr__(self, name, value)
+                getattr(ChenSteinCoefficients, name).__set__(self, value)
         if self.lam.sign == 0:
             raise InputError("lam", "lam must be positive")
         if (self.m is None) == (self.log2_m is None):
             raise InputError("m", "exactly one of m and log2_m must be given")
         if self.m is not None:
-            object.__setattr__(self, "m", _index_set_size(self.m))
+            ChenSteinCoefficients.m.__set__(self, _index_set_size(self.m))
         elif not 1.0 <= self.log2_m < math.inf:
             raise InputError("log2_m", f"log2_m must be finite and >= 1, got {self.log2_m}")
 
@@ -396,7 +399,9 @@ _COEFFICIENT_FIELDS = ("b1", "b2", "b3", "lam")
 
 def _coefficient(name: str, value) -> LogScalar:
     """``value`` as a finite, non-negative LogScalar, or an InputError naming
-    ``name``; a float is converted."""
+    ``name``; a real number is converted, anything else is refused."""
+    if not isinstance(value, (LogScalar, numbers.Real)):
+        raise InputError(name, f"{name} must be a real number, got {value!r}")
     if not isinstance(value, LogScalar) and value == value:  # not NaN
         value = LogScalar.from_float(value)
     if not isinstance(value, LogScalar) or value.sign < 0 or value.logmag == math.inf:
@@ -436,7 +441,8 @@ def coefficients_from_spec(spec: DependencySpec) -> ChenSteinCoefficients:
     return ChenSteinCoefficients(b1=b1, b2=b2, b3=b3, lam=_log_sum(log_p), m=spec.m)
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class MomentSummary:
     """First and second moment mass of an independent Bernoulli system.
 
@@ -453,7 +459,7 @@ class MomentSummary:
     def __post_init__(self):
         _check_lambda(self.lam)
         _check_sum_p_squared(self.sum_p_squared)
-        object.__setattr__(self, "m", _index_set_size(self.m))
+        MomentSummary.m.__set__(self, _index_set_size(self.m))
         if self.theta > 1.0 + 1e-12:
             raise InputError(
                 "theta",
@@ -524,8 +530,8 @@ def log_tv_upper_agg(coeffs: ChenSteinCoefficients) -> float:
         parts.append(b12.logmag + log_bh_factor(log_lam))
     if coeffs.b3.sign != 0:
         parts.append(coeffs.b3.logmag + min(0.0, math.log(1.4) - 0.5 * log_lam))
-    if not parts:
-        return -math.inf
+    if len(parts) < 2:  # log_sum_exp of one part x is x + ln 1.0 = x
+        return parts[0] if parts else -math.inf
     return log_sum_exp(parts)
 
 
@@ -538,7 +544,8 @@ def tv_upper_agg(coeffs: ChenSteinCoefficients) -> float:
     return _saturating_exp(log_tv_upper_agg(coeffs))
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class TvBoundReport:
     """All total-variation bounds available for one system.
 

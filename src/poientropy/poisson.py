@@ -22,7 +22,8 @@ lam E[f(Z+1)] - E[Z f(Z)], which vanishes exactly for Poisson Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -51,7 +52,43 @@ SERIES_LAMBDA_CEILING = 1.0e7
 SERIES_ASYMPTOTIC_SWITCH = 1000.0
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_init(cls):
+    """Give the frozen, slotted dataclass ``cls`` (declared ``init=False``)
+    its ``__init__``: the dataclass signature and defaults, each field stored
+    through its slot's own setter, then ``__post_init__`` if the class has
+    one.
+
+    A frozen dataclass's own ``__init__`` calls ``object.__setattr__`` once
+    per field; the slot setters are what that call ends in, without the
+    name lookup.  The function is built once, when the class is.
+    """
+    scope, params, body = {}, [], ""
+    for f in fields(cls):
+        scope[f"_set_{f.name}"] = vars(cls)[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body += f"  _set_{f.name}(self, {f.name})\n"
+    if hasattr(cls, "__post_init__"):
+        body += "  self.__post_init__()\n"
+    source = (
+        f"def _make({', '.join(scope)}):\n"
+        f" def __init__(self, {', '.join(params)}):\n{body}"
+        " return __init__\n"
+    )
+    namespace = {}
+    exec(source, {"__name__": cls.__module__}, namespace)
+    init = namespace["_make"](**scope)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
+    cls.__init__ = init
+    return cls
+
+
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class EntropyValue:
     """An entropy in nats together with an absolute-error certificate.
 
@@ -95,15 +132,29 @@ def _integer(raw, name: str) -> int:
     return value
 
 
+def _real(raw, name: str) -> float:
+    """``raw`` as a float, an int beyond the float range as +-inf; a string
+    or anything else that is not a real number is refused with an
+    InputError naming ``name``."""
+    if type(raw) is float:
+        return raw
+    if not isinstance(raw, numbers.Real):
+        raise InputError(name, f"{name} must be a real number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if raw > 0 else -math.inf
+
+
 def _check_lambda(lam: float) -> float:
-    lam = float(lam)
+    lam = _real(lam, "lam")
     if not (lam > 0.0) or math.isinf(lam):
         raise InputError("lam", f"Poisson mean must lie in (0, inf), got {lam}")
     return lam
 
 
 def _check_tol(tol: float) -> float:
-    tol = float(tol)
+    tol = _real(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise InputError("tol", f"tol must be finite and > 0, got {tol}")
     return tol

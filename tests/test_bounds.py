@@ -1,11 +1,17 @@
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from poientropy.bounds import (
+    ConditionCheck,
     ConditionViolated,
+    EntropyBoundReport,
     MomentSummary,
     NoApplicableBound,
     _log_b,
@@ -15,10 +21,16 @@ from poientropy.bounds import (
     entropy_bound_independent_sharp,
     g_of_p,
 )
-from poientropy.chenstein import ChenSteinCoefficients, coefficients_independent, tv_upper_agg
+from poientropy.chenstein import (
+    ChenSteinCoefficients,
+    TvBoundReport,
+    coefficients_independent,
+    tv_upper_agg,
+)
 from poientropy.exact import exact_distribution, pmf_entropy
 from poientropy.logspace import LogScalar
-from poientropy.poisson import poisson_entropy_series
+from poientropy.models import hypercube_coefficients
+from poientropy.poisson import EntropyValue, poisson_entropy_series
 
 BRACKET_CONST = (6.0 * math.log(2.0 * math.pi) + 1.0) / 12.0
 
@@ -377,3 +389,105 @@ class TestCertificateSoundness:
             assert gap <= best.epsilon + 1e-9
             general = entropy_bound_general(coefficients_independent(probs))
             assert abs(gap) <= general.epsilon + 1e-9
+
+
+class TestRefusalContract:
+    """A refusal keeps its checks as ``args``, so it survives the pickle and
+    copy round trips a process pool puts it through, with the same text."""
+
+    @staticmethod
+    def _refusals():
+        with pytest.raises(ConditionViolated) as theorem4:
+            entropy_bound_general(hypercube_coefficients(60, 30))
+        with pytest.raises(NoApplicableBound) as independent:
+            best_independent_bound(MomentSummary.from_probs([0.9, 0.9]))
+        return theorem4.value, independent.value
+
+    def test_text(self):
+        theorem4, independent = self._refusals()
+        assert str(theorem4) == "condition violated: a(lambda) <= 0.5 violated (actual 24.8239)"
+        assert str(independent) == (
+            "no applicable bound: tv_factor_sum_p2 <= 0.25 violated (actual 0.751231); "
+            "lambda <= 1 violated (actual 1.8); g <= 0.5 violated (actual 1.50246)"
+        )
+        assert theorem4.args == (theorem4.checks,)
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip(self, round_trip):
+        for exc in self._refusals():
+            again = round_trip(exc)
+            assert type(again) is type(exc)
+            assert again.checks == exc.checks
+            assert str(again) == str(exc)
+
+
+_H = EntropyValue(nats=1.5, certified_abs_error=1e-12, method="series")
+_CHECK = ConditionCheck(name="lambda", required=9.0, actual=2.0, satisfied=True)
+# One value per field, in field order, for each record type.
+_RECORDS = {
+    EntropyValue: (1.5, 1e-12, "series"),
+    ConditionCheck: ("lambda", 9.0, 2.0, True),
+    EntropyBoundReport: (
+        "theorem4", "two-sided-centered", 2.0, _H, 0.1, 0.0, 0.1, (1.4, 1.6), 1.5,
+        0.1 / 1.5, (_CHECK,), math.log(0.1), -math.inf, math.log(0.1), "",
+    ),
+    TvBoundReport: (0.1, 0.05, 0.001, None, ""),
+    ChenSteinCoefficients: (
+        LogScalar.from_float(0.1), LogScalar.zero(), LogScalar.zero(),
+        LogScalar.from_float(2.0), 10, None,
+    ),
+    MomentSummary: (2.0, 0.1, 10),
+}
+
+
+class TestRecordContract:
+    """What every record type promises, however its __init__ is built: it is
+    frozen and slotted, its signature lists its fields with their defaults,
+    and positional and keyword construction agree."""
+
+    @staticmethod
+    def _built(cls):
+        values = _RECORDS[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        return cls(*values), cls(**dict(zip(names, values))), names
+
+    @pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda c: c.__name__)
+    def test_frozen_and_slotted(self, cls):
+        record, _, names = self._built(cls)
+        assert not hasattr(record, "__dict__")
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+
+    @pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda c: c.__name__)
+    def test_signature_lists_the_fields(self, cls):
+        listed = [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+        declared = [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls)
+        ]
+        assert listed == declared
+
+    @pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda c: c.__name__)
+    def test_positional_and_keyword_construction_agree(self, cls):
+        positional, keyword, names = self._built(cls)
+        assert positional == keyword and hash(positional) == hash(keyword)
+        assert [getattr(keyword, name) for name in names] == list(_RECORDS[cls])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EntropyValue(math.nan, 0.0),
+            lambda: ChenSteinCoefficients(-0.1, 0.0, 0.0, 1.0, m=10),
+            lambda: MomentSummary(lam=1.0, sum_p_squared=2.0, m=10),
+        ],
+        ids=["nan-entropy", "negative-coefficient", "theta-above-1"],
+    )
+    def test_post_init_still_refuses(self, build):
+        with pytest.raises(ValueError):
+            build()

@@ -20,6 +20,7 @@ from poientropy.chenstein import (
     tv_upper_lecam,
 )
 from poientropy.logspace import LogScalar
+from poientropy.poisson import InputError, poisson_entropy
 
 # Exact rationals for the n=30, k=27 orientation model:
 #   b1 = 31 * 4060^2 / 2^30,  b2 = 30 * C(29,27) * C(29,26) / 2^28.
@@ -202,6 +203,35 @@ class TestInputRefusals:
     )
     def test_moment_summary_names_the_field(self, fields, field):
         assert _refused_field(MomentSummary, **fields, m=10) == field
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: ChenSteinCoefficients(b1="x", b2=0.0, b3=0.0, lam=1.0, m=10), "b1"),
+            (lambda: ChenSteinCoefficients(b1=None, b2=0.0, b3=0.0, lam=1.0, m=10), "b1"),
+            (lambda: ChenSteinCoefficients(b1=[1.0], b2=0.0, b3=0.0, lam=1.0, m=10), "b1"),
+            (lambda: ChenSteinCoefficients(b1=0.1, b2=0.0, b3=0.0, lam="2", m=10), "lam"),
+            (lambda: MomentSummary(lam=None, sum_p_squared=0.1, m=10), "lam"),
+            (lambda: MomentSummary(lam="x", sum_p_squared=0.1, m=10), "lam"),
+            (lambda: MomentSummary(lam=1.0, sum_p_squared="0.1", m=10), "sum_p_squared"),
+            (lambda: poisson_entropy("x"), "lam"),
+            (lambda: poisson_entropy(1.0, tol=[1e-9]), "tol"),
+            (lambda: tv_bound_report(lam=1.0, sum_p_squared="x"), "sum_p_squared"),
+            (lambda: ChenSteinCoefficients(b1=-(10**400), b2=0.0, b3=0.0, lam=1.0, m=10), "b1"),
+            (lambda: MomentSummary(lam=10**400, sum_p_squared=0.1, m=10), "lam"),
+            (lambda: poisson_entropy(1.0, tol=10**400), "tol"),
+        ],
+        ids=[
+            "coefficient-str", "coefficient-none", "coefficient-list", "coefficient-numeral",
+            "moments-lam-none", "moments-lam-str", "moments-numeral", "entropy-lam-str",
+            "entropy-tol-list", "tv-report-str", "coefficient-huge-int", "moments-huge-int",
+            "entropy-tol-huge-int",
+        ],
+    )
+    def test_input_outside_the_floats_is_an_input_error(self, build, field):
+        with pytest.raises(InputError) as info:
+            build()
+        assert info.value.field == field
 
 
 class TestBarbourHallAndLeCam:
