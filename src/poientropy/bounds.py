@@ -30,6 +30,13 @@ valid when additionally g <= 1/2.  The sharpened coefficient improves on 2c
 by at most the factor 3/(4e) ~ 0.276 (theta -> 0, lam -> inf) and reduces
 to it when the min saturates.
 
+Each rule so certifies gap_low <= H(Z) - H(W) <= eps, where eps is its
+right-hand side and gap_low = -eps (two-sided, theorem 4) or 0 (one-sided,
+the refinements).  Its report encloses H(W) in [H(Z) - eps, H(Z) - gap_low],
+takes the midpoint H(Z) - (eps + gap_low)/2 as the point estimate, and the
+half-width over the midpoint, ((eps - gap_low)/2)/midpoint, as the relative
+error, with its natural log.
+
 Condition failures raise structured errors rather than clamping: outside
 their hypotheses these inequalities simply say nothing.
 """
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from .chenstein import (
@@ -76,6 +84,8 @@ _BRACKET_CONST = (6.0 * math.log(2.0 * math.pi) + 1.0) / 12.0
 RULE_GENERAL = "theorem4"
 RULE_INDEPENDENT = "corollary1"
 RULE_INDEPENDENT_SHARP = "proposition1"
+
+_SATISFIED = attrgetter("satisfied")
 
 
 @_slot_init
@@ -128,12 +138,14 @@ class NoApplicableBound(_FailedChecks):
 class EntropyBoundReport:
     """A certified enclosure of H(W) around the Poisson entropy H(Z).
 
-    ``epsilon = a_term + b_term`` is the total certified error.  Two-sided
-    rules give interval [H(Z) - eps, H(Z) + eps] with point estimate H(Z)
-    and relative error eps/H(Z); one-sided rules give [H(Z) - eps, H(Z)]
-    with the midpoint as point estimate and (eps/2)/midpoint as relative
-    error.  The *_log fields carry natural logs of quantities that may
-    underflow a float (b_term routinely does).
+    Rule ``theorem_id`` certifies gap_low <= H(Z) - H(W) <= epsilon, with
+    ``epsilon = a_term + b_term`` and gap_low = -epsilon for a two-sided rule
+    or 0 for a one-sided one, as ``convention`` says.  ``interval`` is
+    [H(Z) - epsilon, H(Z) - gap_low], ``point_estimate`` its midpoint and
+    ``relative_error`` its half-width over the midpoint (infinite, with a
+    note, when the midpoint is not positive).  The *_log fields carry
+    natural logs of quantities that may underflow a float (b_term routinely
+    does); ``relative_error_log`` is that of ``relative_error``.
     """
 
     theorem_id: str
@@ -150,6 +162,7 @@ class EntropyBoundReport:
     a_term_log: float = field(default=-math.inf, compare=False)
     b_term_log: float = field(default=-math.inf, compare=False)
     epsilon_log: float = field(default=-math.inf, compare=False)
+    relative_error_log: float = field(default=-math.inf, compare=False)
     notes: str = field(default="", compare=False)
 
 
@@ -205,55 +218,61 @@ def _entropy(lam: float, log_lam: float, tol: float) -> EntropyValue:
     return poisson_entropy(lam, tol=tol)
 
 
-def _report(
-    rule: str,
+def _certify(
+    rules: Sequence[tuple],
     lam: float,
-    log_coeff: float,
-    checks: tuple,
-    h: EntropyValue,
-    log_b: float,
+    log_lam: float,
+    log_m1: float,
     log_m2: float,
+    tol: float,
+    refusal: type,
 ) -> EntropyBoundReport:
-    """The report of ``rule`` with coefficient exp(``log_coeff``).
+    """The report of the smallest certificate among ``rules`` whose checks hold.
 
-    Theorem 4 is two-sided about H(Z); the independent-case rules are
-    one-sided, since H(Z) >= H(W) there.
+    Each rule is an entry (rule id, ln x, checks, two-sided) whose epsilon
+    is x ln((m+2)/x) + b(lam); a tie in epsilon goes to the earlier entry.
+    H(Z) and b(lam) are evaluated once for all of them.  If none applies,
+    raises ``refusal`` with every check of every rule, a check object the
+    rules share listed once.
     """
-    a_term, a_term_log = _main_term(log_coeff, log_m2)
+    applicable = [rule for rule in rules if all(map(_SATISFIED, rule[2]))]
+    if not applicable:
+        raise refusal({id(check): check for rule in rules for check in rule[2]}.values())
+    log_b = _log_b(log_lam, log_m1)
     b_term = _saturating_exp(log_b)
-    eps = a_term + b_term
+    best = None
+    for rule_id, log_coeff, checks, two_sided in applicable:
+        a_term, a_term_log = _main_term(log_coeff, log_m2)
+        eps = a_term + b_term
+        if best is None or eps < best[0]:
+            best = eps, a_term, a_term_log, rule_id, checks, two_sided
+    eps, a_term, a_term_log, rule_id, checks, two_sided = best
     eps_log = log_sum_exp([a_term_log, log_b])
 
-    nats = h.nats
-    notes = ""
-    if rule == RULE_GENERAL:
-        convention = "two-sided-centered"
-        interval, point = (nats - eps, nats + eps), nats
-        rel = eps / nats if eps > 0.0 else _saturating_exp(eps_log - math.log(nats))
+    # The enclosure of gap_low <= H(Z) - H(W) <= eps: the interval
+    # [H(Z) - eps, H(Z) - gap_low], its midpoint H(Z) - (eps + gap_low)/2 and
+    # its half-width (eps - gap_low)/2.  A two-sided rule (gap_low = -eps)
+    # sets the shift 0 and the half-width eps directly, since eps - eps is
+    # NaN at eps = inf and 2 eps overflows above half the float ceiling.
+    if two_sided:
+        convention, gap_low, shift, half, log_half = "two-sided-centered", -eps, 0.0, eps, eps_log
     else:
-        convention = "one-sided-midpoint"
-        interval, point = (nats - eps, nats), nats - 0.5 * eps
-        if point > 0.0:
-            rel = (0.5 * eps) / point
-        else:
-            rel = math.inf
-            notes = "bound is vacuous (wider than H(Z))"
+        convention, gap_low = "one-sided-midpoint", 0.0
+        shift = half = 0.5 * eps
+        log_half = eps_log - _LN2
+    h = _entropy(lam, log_lam, tol)
+    nats = h.nats
+    point = nats - shift
+    notes = ""
+    if point > 0.0:
+        rel_log = log_half - math.log(point)
+        rel = half / point if half > 0.0 else _saturating_exp(rel_log)
+    else:
+        rel, rel_log, notes = math.inf, math.inf, "bound is vacuous (wider than H(Z))"
+    # Positional, in field order: binding sixteen keywords costs more.
     return EntropyBoundReport(
-        theorem_id=rule,
-        convention=convention,
-        lam=lam,
-        h_poisson=h,
-        a_term=a_term,
-        b_term=b_term,
-        epsilon=eps,
-        interval=interval,
-        point_estimate=point,
-        relative_error=rel,
-        conditions=checks,
-        a_term_log=a_term_log,
-        b_term_log=log_b,
-        epsilon_log=eps_log,
-        notes=notes,
+        rule_id, convention, lam, h, a_term, b_term, eps, (nats - eps, nats - gap_low), point,
+        rel, checks, a_term_log, log_b, eps_log, rel_log, notes,
     )
 
 
@@ -273,18 +292,13 @@ def entropy_bound_general(
     lam = coeffs.lam.to_float()
     # ln(m - 1) = ln 0 at m = 1, where the check lam <= m - 1 below refuses.
     log_lam, log_m1 = coeffs.lam.logmag, -math.inf if coeffs.m == 1 else coeffs.log_m_minus_1
-    m1_f = _saturating_exp(log_m1)
-
-    a_ok, lam_ok = log_a <= _LN_HALF, log_lam <= log_m1
     checks = (
-        ConditionCheck("a(lambda)", 0.5, a_value, a_ok),
-        ConditionCheck("lambda", m1_f, lam, lam_ok),
+        ConditionCheck("a(lambda)", 0.5, a_value, log_a <= _LN_HALF),
+        ConditionCheck("lambda", _saturating_exp(log_m1), lam, log_lam <= log_m1),
     )
-    if not (a_ok and lam_ok):
-        raise ConditionViolated(checks)
-    return _report(
-        RULE_GENERAL, lam, log_a, checks,
-        _entropy(lam, log_lam, tol), _log_b(log_lam, log_m1), coeffs.log_m_plus_2,
+    return _certify(
+        ((RULE_GENERAL, log_a, checks, True),),
+        lam, log_lam, log_m1, coeffs.log_m_plus_2, tol, ConditionViolated,
     )
 
 
@@ -304,61 +318,44 @@ def g_of_p(moments: MomentSummary) -> float:
     return 2.0 * theta * min(branch_tv, branch_sharp)
 
 
-def _independent_terms(moments: MomentSummary, log_lam: float) -> dict:
-    """ln of each independent-case rule's coefficient, with its checks.
+def _independent_bound(
+    rules: tuple, moments: MomentSummary, tol: float, refusal: type
+) -> EntropyBoundReport:
+    """:func:`_certify` over the independent-case ``rules``, both one-sided;
+    a tie goes to the plain rule.
 
     Both rules need c = ((1 - e^-lam)/lam) sum p_i^2 <= 1/4 and
     lam <= m - 1; the sharpened rule adds g <= 1/2 (and theta < 1).
+    ln(lam), ln(m - 1) and ln(m + 2) are taken by the same ``math.log``
+    calls as ``coefficients_independent``'s.
     """
+    log_lam = math.log(moments.lam)
     if moments.sum_p_squared == 0.0:
         log_c = -math.inf
     else:
         log_c = math.log(moments.sum_p_squared) + log_bh_factor(log_lam)
     c = _saturating_exp(log_c)
-    limit = float(moments.m - 1)
+    m = moments.m
+    limit = float(m - 1)
     shared = (
         ConditionCheck("tv_factor_sum_p2", 0.25, c, log_c <= math.log(0.25)),
         ConditionCheck("lambda", limit, moments.lam, moments.lam <= limit),
     )
     theta_ok = moments.theta < 1.0
     g = g_of_p(moments) if theta_ok else math.inf
-    return {
-        RULE_INDEPENDENT: (_LN2 + log_c, shared),
-        RULE_INDEPENDENT_SHARP: (
+    entries = (
+        (RULE_INDEPENDENT, _LN2 + log_c, shared, False),
+        (
+            RULE_INDEPENDENT_SHARP,
             math.log(g) if g > 0.0 else -math.inf,
             shared + (ConditionCheck("g", 0.5, g, theta_ok and g <= 0.5),),
+            False,
         ),
-    }
-
-
-def _independent_bound(
-    rules: tuple, moments: MomentSummary, tol: float, refusal: type
-) -> EntropyBoundReport:
-    """The smallest certificate among ``rules`` whose checks hold.
-
-    Ties go to the plain rule.  H(Z) and b(lam) are evaluated once for all
-    of the rules, from ln(lam), ln(m - 1) and ln(m + 2) taken here by the
-    same ``math.log`` calls as ``coefficients_independent``'s.  If none
-    applies, raises ``refusal`` with every check of every rule, a check the
-    rules share listed once.
-    """
-    log_lam = math.log(moments.lam)
-    terms = _independent_terms(moments, log_lam)
-    applicable = [rule for rule in rules if all(c.satisfied for c in terms[rule][1])]
-    if not applicable:
-        checks = {}
-        for rule in rules:
-            for check in terms[rule][1]:
-                checks.setdefault((check.name, check.required, check.actual), check)
-        raise refusal(checks.values())
-    # Every applicable rule requires lam <= m - 1, so m >= 2 here.
-    h = _entropy(moments.lam, log_lam, tol)
-    log_b = _log_b(log_lam, math.log(moments.m - 1))
-    log_m2 = math.log(moments.m + 2)
-    candidates = [
-        _report(rule, moments.lam, *terms[rule], h, log_b, log_m2) for rule in applicable
-    ]
-    return min(candidates, key=lambda r: (r.epsilon, r.theorem_id != RULE_INDEPENDENT))
+    )
+    return _certify(
+        [entry for entry in entries if entry[0] in rules], moments.lam, log_lam,
+        -math.inf if m == 1 else math.log(m - 1), math.log(m + 2), tol, refusal,
+    )
 
 
 def entropy_bound_independent(

@@ -59,7 +59,15 @@ from .poisson import (
 _LN2 = math.log(2.0)
 _LOG_FLOOR = 1e-300  # below this magnitude a log_value companion is attached
 
-_RULES = ("theorem4", "corollary", "proposition", "best")
+# Each --rule with the certificate it runs on an --independent moment summary.
+_CERTIFIERS = {
+    "theorem4": lambda moments, tol: entropy_bound_general(
+        coefficients_independent(moments), tol=tol
+    ),
+    "corollary": entropy_bound_independent,
+    "proposition": entropy_bound_independent_sharp,
+    "best": best_independent_bound,
+}
 
 # The flag that carries each library field, one table per input source.
 _MOMENT_FLAGS = {
@@ -117,14 +125,9 @@ def _condition_entries(checks):
 
 
 def _relative_errors(report):
-    """The relative error and its percentage; the fraction carries the log
-    companion ln(eps) - ln H(Z)."""
-    h = report.h_poisson.nats
+    """The relative error, with its log companion, and its percentage."""
     return {
-        "relative_error": _num(
-            report.relative_error, "fraction",
-            report.epsilon_log - math.log(h) if h > 0 else None,
-        ),
+        "relative_error": _num(report.relative_error, "fraction", report.relative_error_log),
         "relative_error_percent": _num(100.0 * report.relative_error, "percent"),
     }
 
@@ -346,24 +349,15 @@ def _cmd_poisson_entropy(args):
 
 def _cmd_entropy_bound(args):
     moments, coeffs, _ = _bound_inputs(args)
-    rule = args.rule
     if moments is None:
-        if rule not in (None, "theorem4"):
+        if args.rule not in (None, "theorem4"):
             raise ValueError(
                 "--spec/--coeffs inputs support only --rule theorem4 "
                 "(the other rules assume independent summands)"
             )
         report = entropy_bound_general(coeffs, tol=args.tol)
     else:
-        rule = rule or "best"
-        if rule == "theorem4":
-            report = entropy_bound_general(coefficients_independent(moments), tol=args.tol)
-        elif rule == "corollary":
-            report = entropy_bound_independent(moments, tol=args.tol)
-        elif rule == "proposition":
-            report = entropy_bound_independent_sharp(moments, tol=args.tol)
-        else:
-            report = best_independent_bound(moments, tol=args.tol)
+        report = _CERTIFIERS[args.rule or "best"](moments, tol=args.tol)
     notes = [report.notes] if report.notes else None
     return _document(
         args,
@@ -563,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy-bound", parents=[common, bound_sources],
                        help="certified |H(Z) - H(W)| bound")
-    p.add_argument("--rule", choices=_RULES, default=None)
+    p.add_argument("--rule", choices=_CERTIFIERS, default=None)
     p.set_defaults(handler=_cmd_entropy_bound)
 
     p = sub.add_parser("tv-bounds", parents=[common, bound_sources],

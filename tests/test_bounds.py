@@ -374,6 +374,20 @@ class TestBestIndependentBound:
         assert g == pytest.approx(2.0 * 0.9 * -math.expm1(-1e6), rel=1e-12)
 
 
+class TestEnclosure:
+    def test_overflowed_epsilon_keeps_each_convention(self):
+        # m - 1 = lam = 1e200 overflows b(lam), so every rule's eps is inf.
+        moments = MomentSummary(lam=1e200, sum_p_squared=1e-10, m=10**200)
+        two = entropy_bound_general(coefficients_independent(moments))
+        one = entropy_bound_independent(moments)
+        h = two.h_poisson.nats
+        assert two.epsilon == one.epsilon == math.inf
+        assert two.interval == (-math.inf, math.inf) and two.point_estimate == h
+        assert two.relative_error == math.inf and two.notes == ""
+        assert one.interval == (-math.inf, h) and one.point_estimate == -math.inf
+        assert one.relative_error == math.inf and "vacuous" in one.notes
+
+
 class TestCertificateSoundness:
     def test_sign_and_containment_on_random_systems(self):
         rng = np.random.default_rng(23)
@@ -432,7 +446,8 @@ _RECORDS = {
     ConditionCheck: ("lambda", 9.0, 2.0, True),
     EntropyBoundReport: (
         "theorem4", "two-sided-centered", 2.0, _H, 0.1, 0.0, 0.1, (1.4, 1.6), 1.5,
-        0.1 / 1.5, (_CHECK,), math.log(0.1), -math.inf, math.log(0.1), "",
+        0.1 / 1.5, (_CHECK,), math.log(0.1), -math.inf, math.log(0.1),
+        math.log(0.1) - math.log(1.5), "",
     ),
     TvBoundReport: (0.1, 0.05, 0.001, None, ""),
     ChenSteinCoefficients: (

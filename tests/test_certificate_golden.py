@@ -20,20 +20,27 @@ or "refused" and each check's ``actual``.
 The test requires every bit to match.  Regenerate the files
 (``PYTHONPATH=src python tests/test_certificate_golden.py``) only with a
 change that means to move these numbers, and say which.
+
+On the arithmetic points and some of the independent systems, another test
+holds every rule's report to the enclosure formula of :mod:`poientropy.bounds`.
 """
 
 import json
 import math
 import pathlib
 import sys
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from poientropy.bounds import (
     ConditionViolated,
     NoApplicableBound,
     best_independent_bound,
     entropy_bound_general,
+    entropy_bound_independent,
+    entropy_bound_independent_sharp,
 )
 from poientropy.chenstein import MomentSummary, coefficients_independent, tv_upper_agg
 from poientropy.exact import BernoulliSystem, exact_distribution, tv_to_poisson
@@ -160,6 +167,56 @@ def test_golden_covers_both_outcomes():
         math.isfinite(float.fromhex(row[1]))
         for rows in outcomes.values() for row in rows if row[0] != "refused"
     )
+
+
+def _log(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def test_every_rule_reports_its_gap_enclosure():
+    """Each report encloses gap_low <= H(Z) - H(W) <= eps, gap_low = -eps for
+    theorem 4 and 0 for the one-sided rules: interval [H - eps, H - gap_low],
+    point H - (eps + gap_low)/2, relative error (eps - gap_low)/2 over the
+    point, with its log.  Exact ends come from Fractions of H and eps."""
+    moments = [arithmetic_moments(a, n) for a, n in _arithmetic_points()]
+    moments += [MomentSummary.from_probs(system) for _, _, system in _independent_systems()[:12]]
+    # A subnormal eps, and an eps that underflows to 0 against a tiny H(Z).
+    moments += [MomentSummary(1.0, 1e-320, 10**6), MomentSummary(1e-285, 0.0, 3)]
+    certifiers = (
+        lambda m: entropy_bound_general(coefficients_independent(m)),
+        entropy_bound_independent,
+        entropy_bound_independent_sharp,
+        best_independent_bound,
+    )
+    seen = {"theorem4": 0, "corollary1": 0, "proposition1": 0}
+    for moment in moments:
+        for certify in certifiers:
+            try:
+                report = certify(moment)
+            except (ConditionViolated, NoApplicableBound):
+                continue
+            seen[report.theorem_id] += 1
+            two_sided = report.theorem_id == "theorem4"
+            assert report.convention == ("two-sided-centered" if two_sided else "one-sided-midpoint")
+            h, eps = Fraction(report.h_poisson.nats), Fraction(report.epsilon)
+            low = -eps if two_sided else Fraction(0)
+            half, point = (eps - low) / 2, h - (eps + low) / 2
+            assert report.interval == (float(h - eps), float(h - low))
+            assert report.point_estimate == float(point)
+            assert point > 0 and report.notes == ""
+            rel, rel_log = report.relative_error, report.relative_error_log
+            log_half = report.epsilon_log - (0.0 if two_sided else math.log(2.0))
+            assert rel_log == pytest.approx(log_half - _log(point), rel=1e-14, abs=1e-12)
+            if float(half) >= sys.float_info.min:
+                assert rel == pytest.approx(float(half / point), rel=1e-15)
+                assert rel_log == pytest.approx(_log(half / point), rel=1e-12, abs=1e-12)
+            elif half > 0:  # a subnormal eps keeps fewer digits than its log
+                assert rel_log == pytest.approx(_log(half / point), abs=1e-5)
+            else:  # the half-width underflowed: the relative error comes from its log
+                assert rel == pytest.approx(math.exp(rel_log), rel=1e-12)
+            if sys.float_info.min <= rel < math.inf:
+                assert rel_log == pytest.approx(math.log(rel), rel=1e-12, abs=1e-12)
+    assert min(seen.values()) >= 10, seen
 
 
 def _regenerate() -> None:

@@ -102,6 +102,25 @@ class TestEntropyBoundCommand:
         assert b_term["value"] == "0"
         assert float(b_term["log_value"]) < -1e8
 
+    def test_relative_error_log_value_is_its_log(self, capsys):
+        # A one-sided rule's relative error is (eps/2)/(H(Z) - eps/2), and its
+        # log companion must be the log of that, not ln(eps) - ln H(Z).
+        entries = []
+        for rule in ("theorem4", "corollary", "proposition", "best"):
+            code, out, _ = run_cli(
+                capsys, "entropy-bound", "--independent", "--lambda", "1",
+                "--sum-p2", "1e-320", "--m", "1e6", "--rule", rule, "--format", "machine",
+            )
+            assert code == 0
+            entries.append(json.loads(out)["results"]["relative_error"])
+        code, out, _ = run_cli(capsys, "table1", "--format", "machine")
+        assert code == 0
+        entries += [row["relative_error"] for row in json.loads(out)["results"]["rows"]]
+        logged = [e for e in entries if "log_value" in e and float(e["value"]) > 0.0]
+        assert len(logged) >= 4
+        for entry in logged:
+            assert abs(float(entry["log_value"]) - math.log(float(entry["value"]))) < 1e-3
+
     def test_exactly_one_source_required(self, capsys):
         code, _, err = run_cli(capsys, "entropy-bound", "--independent")
         assert code == 2
