@@ -341,19 +341,17 @@ def _independent_bound(
         ConditionCheck("tv_factor_sum_p2", 0.25, c, log_c <= math.log(0.25)),
         ConditionCheck("lambda", limit, moments.lam, moments.lam <= limit),
     )
-    theta_ok = moments.theta < 1.0
-    g = g_of_p(moments) if theta_ok else math.inf
-    entries = (
-        (RULE_INDEPENDENT, _LN2 + log_c, shared, False),
-        (
-            RULE_INDEPENDENT_SHARP,
-            math.log(g) if g > 0.0 else -math.inf,
-            shared + (ConditionCheck("g", 0.5, g, theta_ok and g <= 0.5),),
-            False,
-        ),
-    )
+    entries = []
+    if RULE_INDEPENDENT in rules:
+        entries.append((RULE_INDEPENDENT, _LN2 + log_c, shared, False))
+    if RULE_INDEPENDENT_SHARP in rules:
+        theta_ok = moments.theta < 1.0
+        g = g_of_p(moments) if theta_ok else math.inf
+        g_check = ConditionCheck("g", 0.5, g, theta_ok and g <= 0.5)
+        log_g = math.log(g) if g > 0.0 else -math.inf
+        entries.append((RULE_INDEPENDENT_SHARP, log_g, shared + (g_check,), False))
     return _certify(
-        [entry for entry in entries if entry[0] in rules], moments.lam, log_lam,
+        entries, moments.lam, log_lam,
         -math.inf if m == 1 else math.log(m - 1), math.log(m + 2), tol, refusal,
     )
 

@@ -549,9 +549,11 @@ def tv_upper_agg(coeffs: ChenSteinCoefficients) -> float:
 class TvBoundReport:
     """All total-variation bounds available for one system.
 
-    The Barbour-Hall and Le Cam entries assume independent summands and are
-    None when only dependency coefficients are known; ``method_notes``
-    records vacuous (> 1) values and the unclamped AGG figure.
+    The Barbour-Hall and Le Cam entries hold only for independent summands
+    and are None unless (lam, sum_p_squared) were given, which asserts
+    independence; ``agg_upper`` is None unless coefficients were given.
+    ``method_notes`` records vacuous (> 1) values and the unclamped AGG
+    figure.
     """
 
     lecam_upper: Optional[float]
@@ -568,8 +570,11 @@ def tv_bound_report(
 ) -> TvBoundReport:
     """Assemble every applicable TV bound for one system.
 
-    Pass (lam, sum_p_squared) for an independent system, coefficients for a
-    dependent one, or both to see the bounds side by side.
+    Pass coefficients for any system, for the AGG bound alone.  Pass
+    (lam, sum_p_squared) only for independent summands: the Barbour-Hall
+    and Le Cam bounds they give do not hold for dependent ones, whose
+    marginals can put the exact TV above them.  Pass both, for one
+    independent system, to see all the bounds side by side.
     """
     if coeffs is None and (lam is None or sum_p_squared is None):
         raise ValueError("need either (lam, sum_p_squared) or coefficients")

@@ -283,12 +283,11 @@ def _parse_moments(args) -> MomentSummary:
     )
 
 
-def _load_spec(path: str) -> tuple:
-    """(coefficients, spec) of the spec file ``path``; refusals name --spec and the path."""
+def _load_spec(path: str) -> ChenSteinCoefficients:
+    """The coefficients of the spec file ``path``; refusals name --spec and the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            spec = dependency_spec_from_dict(json.load(handle))
-        return coefficients_from_spec(spec), spec
+            return coefficients_from_spec(dependency_spec_from_dict(json.load(handle)))
     except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"--spec {path}: {exc}") from None
 
@@ -306,8 +305,8 @@ def _parse_coeffs(text: str) -> ChenSteinCoefficients:
 def _bound_inputs(args):
     """Resolve the three mutually exclusive entropy-bound input sources.
 
-    Returns (moments, coeffs, spec): the moment summary for --independent,
-    else the coefficients, plus the parsed spec for --spec.
+    Returns (moments, coeffs): the moment summary for --independent, else
+    the coefficients.
     """
     sources = [args.independent, args.spec is not None, args.coeffs is not None]
     if sum(sources) != 1:
@@ -315,10 +314,10 @@ def _bound_inputs(args):
             "exactly one input source required: --independent, --spec or --coeffs"
         )
     if args.independent:
-        return _parse_moments(args), None, None
+        return _parse_moments(args), None
     if args.spec is not None:
-        return None, *_load_spec(args.spec)
-    return None, _parse_coeffs(args.coeffs), None
+        return None, _load_spec(args.spec)
+    return None, _parse_coeffs(args.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def _cmd_poisson_entropy(args):
 
 
 def _cmd_entropy_bound(args):
-    moments, coeffs, _ = _bound_inputs(args)
+    moments, coeffs = _bound_inputs(args)
     if moments is None:
         if args.rule not in (None, "theorem4"):
             raise ValueError(
@@ -368,22 +367,17 @@ def _cmd_entropy_bound(args):
 
 
 def _cmd_tv_bounds(args):
-    moments, coeffs, spec = _bound_inputs(args)
-    if moments is not None:
+    # Barbour-Hall and Le Cam hold only for independent summands, so a
+    # --spec or --coeffs input gets the AGG bound alone.
+    moments, coeffs = _bound_inputs(args)
+    if moments is None:
+        report = tv_bound_report(coeffs=coeffs)
+    else:
         report = tv_bound_report(
             lam=moments.lam,
             sum_p_squared=moments.sum_p_squared,
             coeffs=coefficients_independent(moments),
         )
-    elif spec is not None:
-        p = spec.marginals
-        report = tv_bound_report(
-            lam=math.fsum(memoryview(p)),
-            sum_p_squared=math.fsum(memoryview(p * p)),
-            coeffs=coeffs,
-        )
-    else:
-        report = tv_bound_report(coeffs=coeffs)
     results = {}
     for name in ("lecam_upper", "bh_upper", "bh_lower", "agg_upper"):
         value = getattr(report, name)
