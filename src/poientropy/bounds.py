@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chenstein import (
     ChenSteinCoefficients,
@@ -54,7 +54,7 @@ from .chenstein import (
     log_bh_factor,
     log_tv_upper_agg,
 )
-from .logspace import _saturating_exp, log_sum_exp
+from .logspace import _log_sum_exp2, _saturating_exp, log_sum_exp
 from .poisson import (
     EntropyValue,
     _check_tol,
@@ -78,8 +78,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN_HALF = -_LN2
-# (6 ln(2 pi) + 1) / 12, the constant term of the truncation bracket.
-_BRACKET_CONST = (6.0 * math.log(2.0 * math.pi) + 1.0) / 12.0
+# ln((6 ln(2 pi) + 1) / 12), the log of the truncation bracket's constant term.
+_LOG_BRACKET_CONST = math.log((6.0 * math.log(2.0 * math.pi) + 1.0) / 12.0)
 
 RULE_GENERAL = "theorem4"
 RULE_INDEPENDENT = "corollary1"
@@ -174,10 +174,12 @@ def _log_b(log_lam: float, log_m1: float) -> float:
     the exponent turns positive and the (possibly huge) value the formula
     gives is returned.
     """
-    parts = [2.0 * log_lam, math.log(_BRACKET_CONST)]
     if log_lam < 1.0:  # lam < e, so (lam ln(e/lam))_+ is positive
-        parts.append(log_lam + math.log(1.0 - log_lam))
-    log_bracket = log_sum_exp(parts)
+        log_bracket = log_sum_exp(
+            [2.0 * log_lam, _LOG_BRACKET_CONST, log_lam + math.log(1.0 - log_lam)]
+        )
+    else:
+        log_bracket = _log_sum_exp2(2.0 * log_lam, _LOG_BRACKET_CONST)
 
     # Exponent lam + (m-1) (ln(m-1) - ln(lam) - 1), with overflow handled
     # sign-by-sign so huge m degrades to b = 0 rather than NaN.
@@ -215,15 +217,16 @@ def _entropy(lam: float, log_lam: float, tol: float) -> EntropyValue:
     if math.isinf(lam):
         _check_tol(tol)
         return _poisson_entropy_log_mean(log_lam)
-    return poisson_entropy(lam, tol=tol)
+    return poisson_entropy(lam, tol)
 
 
 def _certify(
     rules: Sequence[tuple],
+    checks: tuple,
     lam: float,
     log_lam: float,
     log_m1: float,
-    log_m2: float,
+    log_m2_of: Callable[[], float],
     tol: float,
     refusal: type,
 ) -> EntropyBoundReport:
@@ -231,23 +234,25 @@ def _certify(
 
     Each rule is an entry (rule id, ln x, checks, two-sided) whose epsilon
     is x ln((m+2)/x) + b(lam); a tie in epsilon goes to the earlier entry.
-    H(Z) and b(lam) are evaluated once for all of them.  If none applies,
-    raises ``refusal`` with every check of every rule, a check object the
-    rules share listed once.
+    ``checks`` holds every check of every rule, each once.  If no rule
+    applies, raises ``refusal`` with them before any other work; otherwise
+    ln(m + 2) (from ``log_m2_of()``), b(lam) and H(Z) are evaluated once for
+    all the rules that do.
     """
     applicable = [rule for rule in rules if all(map(_SATISFIED, rule[2]))]
     if not applicable:
-        raise refusal({id(check): check for rule in rules for check in rule[2]}.values())
+        raise refusal(checks)
+    log_m2 = log_m2_of()
     log_b = _log_b(log_lam, log_m1)
     b_term = _saturating_exp(log_b)
     best = None
-    for rule_id, log_coeff, checks, two_sided in applicable:
+    for rule_id, log_coeff, rule_checks, two_sided in applicable:
         a_term, a_term_log = _main_term(log_coeff, log_m2)
         eps = a_term + b_term
         if best is None or eps < best[0]:
-            best = eps, a_term, a_term_log, rule_id, checks, two_sided
-    eps, a_term, a_term_log, rule_id, checks, two_sided = best
-    eps_log = log_sum_exp([a_term_log, log_b])
+            best = eps, a_term, a_term_log, rule_id, rule_checks, two_sided
+    eps, a_term, a_term_log, rule_id, rule_checks, two_sided = best
+    eps_log = _log_sum_exp2(a_term_log, log_b)
 
     # The enclosure of gap_low <= H(Z) - H(W) <= eps: the interval
     # [H(Z) - eps, H(Z) - gap_low], its midpoint H(Z) - (eps + gap_low)/2 and
@@ -272,7 +277,7 @@ def _certify(
     # Positional, in field order: binding sixteen keywords costs more.
     return EntropyBoundReport(
         rule_id, convention, lam, h, a_term, b_term, eps, (nats - eps, nats - gap_low), point,
-        rel, checks, a_term_log, log_b, eps_log, rel_log, notes,
+        rel, rule_checks, a_term_log, log_b, eps_log, rel_log, notes,
     )
 
 
@@ -297,8 +302,8 @@ def entropy_bound_general(
         ConditionCheck("lambda", _saturating_exp(log_m1), lam, log_lam <= log_m1),
     )
     return _certify(
-        ((RULE_GENERAL, log_a, checks, True),),
-        lam, log_lam, log_m1, coeffs.log_m_plus_2, tol, ConditionViolated,
+        ((RULE_GENERAL, log_a, checks, True),), checks,
+        lam, log_lam, log_m1, lambda: coeffs.log_m_plus_2, tol, ConditionViolated,
     )
 
 
@@ -336,23 +341,27 @@ def _independent_bound(
         log_c = math.log(moments.sum_p_squared) + log_bh_factor(log_lam)
     c = _saturating_exp(log_c)
     m = moments.m
-    limit = float(m - 1)
-    shared = (
+    try:
+        limit = float(m - 1)
+    except OverflowError:  # m - 1 beyond the float range
+        limit = math.inf
+    checks = (
         ConditionCheck("tv_factor_sum_p2", 0.25, c, log_c <= math.log(0.25)),
-        ConditionCheck("lambda", limit, moments.lam, moments.lam <= limit),
+        # An exact comparison: a float against an int compares their values.
+        ConditionCheck("lambda", limit, moments.lam, moments.lam <= m - 1),
     )
     entries = []
     if RULE_INDEPENDENT in rules:
-        entries.append((RULE_INDEPENDENT, _LN2 + log_c, shared, False))
+        entries.append((RULE_INDEPENDENT, _LN2 + log_c, checks, False))
     if RULE_INDEPENDENT_SHARP in rules:
         theta_ok = moments.theta < 1.0
         g = g_of_p(moments) if theta_ok else math.inf
-        g_check = ConditionCheck("g", 0.5, g, theta_ok and g <= 0.5)
+        checks += (ConditionCheck("g", 0.5, g, theta_ok and g <= 0.5),)
         log_g = math.log(g) if g > 0.0 else -math.inf
-        entries.append((RULE_INDEPENDENT_SHARP, log_g, shared + (g_check,), False))
+        entries.append((RULE_INDEPENDENT_SHARP, log_g, checks, False))
     return _certify(
-        entries, moments.lam, log_lam,
-        -math.inf if m == 1 else math.log(m - 1), math.log(m + 2), tol, refusal,
+        entries, checks, moments.lam, log_lam,
+        -math.inf if m == 1 else math.log(m - 1), lambda: math.log(m + 2), tol, refusal,
     )
 
 

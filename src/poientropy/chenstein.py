@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .exact import BernoulliSystem
-from .logspace import LogScalar, _saturating_exp, log1mexp, log_sum_exp
+from .logspace import LogScalar, _log_sum_exp2, _saturating_exp, log1mexp
 from .poisson import InputError, _check_lambda, _integer, _real, _slot_init
 
 __all__ = [
@@ -351,9 +351,9 @@ class ChenSteinCoefficients:
 
     def __post_init__(self):
         for name, raw in zip(_COEFFICIENT_FIELDS, (self.b1, self.b2, self.b3, self.lam)):
-            value = _coefficient(name, raw)
-            if value is not raw:
-                getattr(ChenSteinCoefficients, name).__set__(self, value)
+            # A LogScalar's own fields are valid, so only the range is left.
+            if type(raw) is not LogScalar or raw.sign < 0 or raw.logmag == math.inf:
+                getattr(ChenSteinCoefficients, name).__set__(self, _coefficient(name, raw))
         if self.lam.sign == 0:
             raise InputError("lam", "lam must be positive")
         if (self.m is None) == (self.log2_m is None):
@@ -524,15 +524,14 @@ def tv_upper_lecam(sum_p_squared: float) -> float:
 def log_tv_upper_agg(coeffs: ChenSteinCoefficients) -> float:
     """ln of the AGG bound (b1+b2)(1-e^-lam)/lam + b3 min(1, 1.4/sqrt(lam))."""
     log_lam = coeffs.lam.logmag
-    parts = []
     b12 = coeffs.b1 + coeffs.b2
-    if b12.sign != 0:
-        parts.append(b12.logmag + log_bh_factor(log_lam))
-    if coeffs.b3.sign != 0:
-        parts.append(coeffs.b3.logmag + min(0.0, math.log(1.4) - 0.5 * log_lam))
-    if len(parts) < 2:  # log_sum_exp of one part x is x + ln 1.0 = x
-        return parts[0] if parts else -math.inf
-    return log_sum_exp(parts)
+    log_12 = b12.logmag + log_bh_factor(log_lam) if b12.sign != 0 else -math.inf
+    if coeffs.b3.sign == 0:
+        return log_12
+    log_3 = coeffs.b3.logmag + min(0.0, math.log(1.4) - 0.5 * log_lam)
+    if log_12 == -math.inf:  # log_sum_exp of one part x is x + ln 1.0 = x
+        return log_3
+    return _log_sum_exp2(log_12, log_3)
 
 
 def tv_upper_agg(coeffs: ChenSteinCoefficients) -> float:
@@ -588,13 +587,8 @@ def tv_bound_report(
     if coeffs is not None:
         agg = tv_upper_agg(coeffs)
         notes.append(f"agg_unclamped={agg!r}")
-    for name, value in (("lecam_upper", lecam), ("agg_upper", agg)):
-        if value is not None and value > 1.0:
-            notes.append(f"{name} > 1 is vacuous (d_TV <= 1 always)")
-    return TvBoundReport(
-        lecam_upper=lecam,
-        bh_upper=bh_up,
-        bh_lower=bh_lo,
-        agg_upper=agg,
-        method_notes="; ".join(notes),
-    )
+    if lecam is not None and lecam > 1.0:
+        notes.append("lecam_upper > 1 is vacuous (d_TV <= 1 always)")
+    if agg is not None and agg > 1.0:
+        notes.append("agg_upper > 1 is vacuous (d_TV <= 1 always)")
+    return TvBoundReport(lecam, bh_up, bh_lo, agg, "; ".join(notes))

@@ -53,6 +53,18 @@ def log_sum_exp(xs: Iterable[float]) -> float:
     return hi + math.log(math.fsum([math.exp(x - hi) for x in values]))
 
 
+def _log_sum_exp2(x: float, y: float) -> float:
+    """``log_sum_exp([x, y])`` bit for bit, without the list.
+
+    The larger term gives e^0 = 1.0, and math.fsum of two doubles is their
+    correctly rounded sum, which is what 1.0 + e^(lo - hi) rounds to.
+    """
+    hi, lo = (x, y) if x >= y else (y, x)
+    if math.isinf(hi):  # +inf dominates; all -inf stays -inf
+        return hi
+    return hi + math.log(1.0 + math.exp(lo - hi))
+
+
 def log1mexp(x: float) -> float:
     """ln(1 - e^-x) for x > 0.
 

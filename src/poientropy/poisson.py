@@ -171,9 +171,7 @@ def _outward_cumsum(steps: np.ndarray, i: int) -> np.ndarray:
     out[i] = 0.0
     np.add.accumulate(steps[i:], out=out[i + 1:])
     if i:
-        down = out[i - 1::-1]
-        np.add.accumulate(steps[i - 1::-1], out=down)
-        np.negative(down, out=down)
+        np.negative(np.add.accumulate(steps[i - 1::-1]), out=out[i - 1::-1])
     return out
 
 
@@ -183,7 +181,7 @@ def _log_pmf_ratios(lam: float, lo: int, hi: int) -> np.ndarray:
     Built from the steps ln(p_j / p_(j-1)) = ln(lam / j), so there is no
     k ln(lam) - ln(k!) cancellation.
     """
-    j = np.arange(lo + 1, hi + 1)
+    j = np.arange(lo + 1.0, hi + 1.0)  # float, so lam / j needs no cast
     if lam < 1.0:
         # ln(lam) and -ln(j) share a sign, so subtracting loses nothing,
         # whereas lam / j may underflow.
@@ -199,7 +197,8 @@ def _normalised_entropy(log_w: np.ndarray, i: int) -> tuple:
     w[i] = 0.0  # the weight 1 at i enters through log1p
     rest = float(np.add.reduce(w))
     log_s = math.log1p(rest)
-    return log_s - float(w @ log_w) / (1.0 + rest), log_s
+    # ndarray.dot and @ both end in the same BLAS dot; the method call is cheaper.
+    return log_s - float(w.dot(log_w)) / (1.0 + rest), log_s
 
 
 def poisson_log_pmf(lam: float, k: int) -> float:
@@ -248,9 +247,10 @@ def _window_entropy(lam: float, lo: int, hi: int) -> tuple:
     # decreasing above it, and p_k <= w_k / S.
     # ln x as a difference of logs: (hi + 1) / lam overflows for tiny lam.
     log_lam = math.log(lam)
-    tail, mass = _entropy_tail(float(log_w[-1]) - log_s, math.log(hi + 1) - log_lam)
+    first, last = float(log_w[0]), float(log_w[-1])
+    tail, mass = _entropy_tail(last - log_s, math.log(hi + 1) - log_lam)
     if lo > 0:
-        lower = _entropy_tail(float(log_w[0]) - log_s, log_lam - math.log(lo))
+        lower = _entropy_tail(first - log_s, log_lam - math.log(lo))
         tail, mass = tail + lower[0], mass + lower[1]
     if not mass <= 0.5:
         return nats, math.inf, 0.0
@@ -266,7 +266,7 @@ def _window_entropy(lam: float, lo: int, hi: int) -> tuple:
     # by at most 2 H max|delta|; the two final sums and the division add
     # N eps (1 + H).
     n = log_w.size
-    delta = n * _EPS * (1.0 - min(float(log_w[0]), float(log_w[-1]))) + 8.0 * _EPS
+    delta = n * _EPS * (1.0 - min(first, last)) + 8.0 * _EPS
     rounding = 2.0 * nats * delta + (n + 4) * _EPS * (1.0 + nats)
     return nats, truncation, rounding
 
@@ -300,9 +300,7 @@ def poisson_entropy_series(lam: float, tol: float = 1e-9) -> EntropyValue:
         if truncation <= 0.5 * tol:
             break
         spread *= 1.25
-    return EntropyValue(
-        nats=nats, certified_abs_error=truncation + rounding, method="series"
-    )
+    return EntropyValue(nats, truncation + rounding, "series")
 
 
 def _poisson_entropy_log_mean(log_lam: float) -> EntropyValue:
@@ -316,7 +314,7 @@ def _poisson_entropy_log_mean(log_lam: float) -> EntropyValue:
     inv = math.exp(-log_lam)
     nats = 0.5 * (_LN_2PI + 1.0 + log_lam) - inv / 12.0 - inv * inv / 24.0
     err = max(inv**3, 8.0 * math.ulp(nats))
-    return EntropyValue(nats=nats, certified_abs_error=err, method="asymptotic")
+    return EntropyValue(nats, err, "asymptotic")
 
 
 def poisson_entropy_asymptotic(lam: float) -> EntropyValue:
@@ -334,12 +332,16 @@ def poisson_entropy_asymptotic(lam: float) -> EntropyValue:
 
 
 def poisson_entropy(lam: float, tol: float = 1e-9) -> EntropyValue:
-    """Entropy of Po(lam): series for lam <= SERIES_ASYMPTOTIC_SWITCH, expansion above."""
+    """Entropy of Po(lam): series for lam <= SERIES_ASYMPTOTIC_SWITCH, expansion above.
+
+    The series branch calls :func:`poisson_entropy_series`, which checks tol
+    itself; the other branch checks it here and evaluates the expansion.
+    """
     lam = _check_lambda(lam)
-    tol = _check_tol(tol)
     if lam <= SERIES_ASYMPTOTIC_SWITCH:
-        return poisson_entropy_series(lam, tol=tol)
-    return poisson_entropy_asymptotic(lam)
+        return poisson_entropy_series(lam, tol)
+    _check_tol(tol)
+    return _poisson_entropy_log_mean(math.log(lam))
 
 
 def binomial_entropy(n: int, p: float) -> EntropyValue:

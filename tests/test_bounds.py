@@ -29,7 +29,7 @@ from poientropy.chenstein import (
 )
 from poientropy.exact import exact_distribution, pmf_entropy
 from poientropy.logspace import LogScalar
-from poientropy.models import hypercube_coefficients
+from poientropy.models import arithmetic_moments, hypercube_coefficients
 from poientropy.poisson import EntropyValue, poisson_entropy_series
 
 BRACKET_CONST = (6.0 * math.log(2.0 * math.pi) + 1.0) / 12.0
@@ -271,6 +271,26 @@ class TestIndependentBound:
         with pytest.raises(ConditionViolated, match="tv_factor_sum_p2"):
             entropy_bound_independent(moments)
 
+    def test_index_set_beyond_the_float_range(self):
+        # m - 1 overflows a float: the lambda check still holds, with its
+        # limit reported as inf, as theorem 4 reports it for the same system.
+        moments = MomentSummary(lam=1.0, sum_p_squared=0.1, m=10**400)
+        general = entropy_bound_general(coefficients_independent(moments))
+        assert general.epsilon == pytest.approx(116.70236941506232, rel=1e-12)
+        for report in (entropy_bound_independent(moments), best_independent_bound(moments)):
+            check = next(c for c in report.conditions if c.name == "lambda")
+            assert (check.required, check.actual, check.satisfied) == (math.inf, 1.0, True)
+            assert 0.0 < report.epsilon <= general.epsilon
+
+    def test_lambda_check_is_exact_above_two_to_the_53(self):
+        # m - 1 = 2^53 + 3 rounds to the float 2^53 + 4, which is lam: only
+        # an exact comparison sees that lam exceeds m - 1.
+        moments = MomentSummary(lam=float(2**53 + 4), sum_p_squared=1.0, m=2**53 + 4)
+        with pytest.raises(NoApplicableBound) as excinfo:
+            best_independent_bound(moments)
+        failed = [c.name for c in excinfo.value.checks if not c.satisfied]
+        assert failed == ["lambda"]
+
     def test_contains_exact_gap_for_small_system(self):
         rng = np.random.default_rng(17)
         probs = rng.uniform(0.0, 0.05, 50)
@@ -425,6 +445,51 @@ class TestRefusalContract:
             "lambda <= 1 violated (actual 1.8); g <= 0.5 violated (actual 1.50246)"
         )
         assert theorem4.args == (theorem4.checks,)
+
+    def test_refusal_evaluates_no_entropy(self, monkeypatch):
+        # A refusal raises before ln(m + 2), b(lambda) or H(Z) is evaluated,
+        # with the same text and checks as when it evaluated ln(m + 2) first.
+        from poientropy import bounds
+
+        calls = []
+
+        def counted(name, original):
+            return lambda *args: calls.append(name) or original(*args)
+
+        for name in ("_entropy", "_log_b"):
+            monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+        plus_2 = ChenSteinCoefficients.log_m_plus_2.fget
+        monkeypatch.setattr(
+            ChenSteinCoefficients, "log_m_plus_2", property(counted("log_m_plus_2", plus_2))
+        )
+        with pytest.raises(ConditionViolated) as theorem4:
+            entropy_bound_general(hypercube_coefficients(30, 20))
+        with pytest.raises(NoApplicableBound) as independent:
+            best_independent_bound(arithmetic_moments(0.9 / 2000, 1000))
+        assert calls == []
+        assert str(theorem4.value) == (
+            "condition violated: a(lambda) <= 0.5 violated (actual 3.22721)"
+        )
+        assert str(independent.value) == (
+            "no applicable bound: tv_factor_sum_p2 <= 0.25 violated (actual 0.6003); "
+            "g <= 0.5 violated (actual 1.2006)"
+        )
+
+        def fields(exc):
+            return [(c.name, c.required.hex(), c.actual.hex(), c.satisfied) for c in exc.checks]
+
+        assert fields(theorem4.value) == [
+            ("a(lambda)", "0x1.0000000000000p-1", "0x1.9d15426400016p+1", False),
+            ("lambda", "0x1.fffffff7ffff8p+29", "0x1.ca7356ffffff4p+24", True),
+        ]
+        assert fields(independent.value) == [
+            ("tv_factor_sum_p2", "0x1.0000000000000p-2", "0x1.335a858793dd6p-1", False),
+            ("lambda", "0x1.f380000000000p+9", "0x1.c273333333333p+8", True),
+            ("g", "0x1.0000000000000p-1", "0x1.335a858793dd9p+0", False),
+        ]
+        # The counters see the work of a certificate that is issued.
+        entropy_bound_general(hypercube_coefficients(40, 5))
+        assert sorted(calls) == ["_entropy", "_log_b", "log_m_plus_2"]
 
     @pytest.mark.parametrize(
         "round_trip", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
