@@ -297,9 +297,13 @@ def entropy_bound_general(
     lam = coeffs.lam.to_float()
     # ln(m - 1) = ln 0 at m = 1, where the check lam <= m - 1 below refuses.
     log_lam, log_m1 = coeffs.lam.logmag, -math.inf if coeffs.m == 1 else coeffs.log_m_minus_1
+    # ln lam and ln(m - 1) each carry up to an ulp of rounding, so nearly
+    # equal lam and m - 1 can share one log; the margin refuses such a tie
+    # and still certifies the exact tie ln 1 = 0.
+    margin = 2**-50 * (abs(log_lam) + abs(log_m1))
     checks = (
         ConditionCheck("a(lambda)", 0.5, a_value, log_a <= _LN_HALF),
-        ConditionCheck("lambda", _saturating_exp(log_m1), lam, log_lam <= log_m1),
+        ConditionCheck("lambda", _saturating_exp(log_m1), lam, log_lam <= log_m1 - margin),
     )
     return _certify(
         ((RULE_GENERAL, log_a, checks, True),), checks,

@@ -30,7 +30,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,8 +60,10 @@ _LN2 = math.log(2.0)
 class DependencySpec:
     """Marginals, neighbourhoods and pair moments for a dependent system.
 
-    The ``pair_expectations`` argument gives p_ab = E[X_a X_b] for ordered
-    index pairs (a, b) with b in B_a \\ {a}, either as a mapping
+    ``neighborhoods`` gives B_a for each index a, as a list of index lists
+    or a map keyed by a (an int or its string).  ``pair_expectations``
+    gives p_ab = E[X_a X_b] for ordered index pairs (a, b) with
+    b in B_a \\ {a}, either as a mapping
     {(a, b): p_ab} or as [a, b, p_ab] triples; since that moment is
     symmetric, each unordered pair may be supplied once and is mirrored
     automatically.  ``b3_terms`` is either a sequence of the long-range
@@ -156,12 +158,9 @@ def _float_array(raw, name: str) -> np.ndarray:
 
 def _neighbourhood_csr(neighborhoods, m: int) -> tuple:
     """(indptr, indices) of the neighbourhoods, each row sorted and deduplicated."""
-    rows = []
-    try:
-        for a in range(m):
-            rows.append(neighborhoods[a])
-    except (KeyError, IndexError, TypeError):
-        raise ValueError(f"missing neighbourhood for index {a}") from None
+    rows = _indexed_field(neighborhoods, m, "neighborhoods")
+    if len(rows) < m:
+        raise ValueError(f"missing neighbourhood for index {len(rows)}")
     try:
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=m)
         flat = np.fromiter(
@@ -171,12 +170,7 @@ def _neighbourhood_csr(neighborhoods, m: int) -> tuple:
         raise ValueError("each neighbourhood must be a list of integer indices") from None
 
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    fractional = owner[np.trunc(flat) != flat]  # an infinity is out of range below
-    # A bool reads as 0 or 1, so only the rows holding 0 or 1 can hold one.
-    low = owner[(flat == 0.0) | (flat == 1.0)].tolist()
-    a = int(fractional[0]) if fractional.size else next(
-        (a for a in low if bool in set(map(type, rows[a]))), None
-    )
+    a = _first_non_integral(flat, owner, rows)  # an infinity is out of range below
     if a is not None:
         raise ValueError(f"neighbourhood B_{a} has non-integer indices")
     has_self = np.zeros(m, dtype=bool)
@@ -194,6 +188,25 @@ def _neighbourhood_csr(neighborhoods, m: int) -> tuple:
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=m), out=indptr[1:])
     return indptr, flat
+
+
+def _first_non_integral(values: np.ndarray, owner: np.ndarray, groups, width=None):
+    """The first group holding an index that is not an integer, or None.
+
+    ``values`` are the indices read as floats, ``owner`` the non-decreasing
+    group of each, and the first ``width`` items of ``groups[g]`` (all of
+    them when None) the raw indices of group g.  A fraction or NaN shows in
+    the floats; a bool reads as 0 or 1, so only the groups holding 0 or 1
+    ahead of the first fraction are searched for one.
+    """
+    fractional = owner[np.trunc(values) != values][:1]
+    low = owner[(values == 0.0) | (values == 1.0)]
+    if fractional.size:
+        low = low[low < fractional[0]]
+    for g in low.tolist():
+        if bool in set(map(type, itertools.islice(groups[g], width))):
+            return g
+    return int(fractional[0]) if fractional.size else None
 
 
 def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
@@ -242,15 +255,10 @@ def _pair_moments(pairs, p: np.ndarray, indptr: np.ndarray, indices: np.ndarray)
         raise ValueError(
             f"pair expectation ({a_raw[i]:g},{b_raw[i]:g}) has out-of-range indices"
         )
-    a, b = a_raw.astype(np.int64), b_raw.astype(np.int64)
-    fractional = np.flatnonzero((a != a_raw) | (b != b_raw))
-    # A bool reads as 0 or 1, so only the entries with such an index can hold one.
-    low = np.flatnonzero(np.minimum(a, b) <= 1).tolist()
-    i = int(fractional[0]) if fractional.size else next(
-        (i for i in low if bool in set(map(type, itertools.islice(entries[i], 2)))), None
-    )
+    i = _first_non_integral(table[:, :2].ravel(), np.arange(2 * len(table)) // 2, entries, 2)
     if i is not None:
         raise ValueError(f"pair expectation {entries[i]} has non-integer indices")
+    a, b = a_raw.astype(np.int64), b_raw.astype(np.int64)
     diagonal = np.flatnonzero(a == b)
     if diagonal.size:
         i = int(diagonal[0])
@@ -305,7 +313,7 @@ def dependency_spec_from_dict(doc: Mapping) -> DependencySpec:
     try:
         m = _index_set_size(doc["m"])
         marginals = _indexed_field(doc["marginals"], m, "marginals")
-        neighborhoods = _indexed_field(doc["neighborhoods"], m, "neighborhoods")
+        neighborhoods = doc["neighborhoods"]
         triples = doc["pair_expectations"]
         b3 = doc["b3"]
     except KeyError as exc:
@@ -313,8 +321,10 @@ def dependency_spec_from_dict(doc: Mapping) -> DependencySpec:
     return DependencySpec(m, marginals, neighborhoods, triples, b3)
 
 
-def _indexed_field(raw, m: int, name: str) -> list:
-    # Accept either a plain list or a {"0": ..., "1": ...} map.
+def _indexed_field(raw, m: int, name: str):
+    """The entries of ``raw`` for indices 0..m-1, from a list (or another
+    sequence, returned as it is; an array is read as its nested lists) or a
+    map keyed by each index as an int or its string."""
     if isinstance(raw, Mapping):
         out = []
         for a in range(m):
@@ -325,7 +335,9 @@ def _indexed_field(raw, m: int, name: str) -> list:
             else:
                 raise ValueError(f"{name} is missing index {a}")
         return out
-    if not isinstance(raw, list):
+    if isinstance(raw, np.ndarray):
+        raw = raw.tolist()
+    if isinstance(raw, str) or not isinstance(raw, Sequence):
         raise ValueError(f"{name} must be a list or an index map")
     return raw
 

@@ -134,10 +134,6 @@ class LogScalar:
         return _ZERO
 
     @classmethod
-    def one(cls) -> "LogScalar":
-        return _make(1, 0.0)
-
-    @classmethod
     def from_float(cls, x) -> "LogScalar":
         """Build from a float or an (arbitrarily large) int."""
         if isinstance(x, LogScalar):
@@ -150,10 +146,11 @@ class LogScalar:
         return _nonzero(sign, math.log(x if sign > 0 else -x))
 
     @classmethod
-    def from_log(cls, logmag: float, sign: int = 1) -> "LogScalar":
-        if sign == 0 or logmag == -math.inf:
+    def from_log(cls, logmag: float) -> "LogScalar":
+        """The positive number e^logmag (zero at -inf)."""
+        if logmag == -math.inf:
             return _ZERO
-        return _nonzero(1 if sign > 0 else -1, logmag)
+        return _nonzero(1, logmag)
 
     # -- conversions ---------------------------------------------------------
 
@@ -165,9 +162,6 @@ class LogScalar:
 
     def __float__(self) -> float:
         return self.to_float()
-
-    def __abs__(self) -> "LogScalar":
-        return _make(1, self.logmag) if self.sign else _ZERO
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -206,31 +200,6 @@ class LogScalar:
 
     def __sub__(self, other: "LogScalar") -> "LogScalar":
         return self + (-LogScalar.from_float(other))
-
-    # -- ordering ------------------------------------------------------------
-
-    def _cmp(self, other: "LogScalar") -> int:
-        other = LogScalar.from_float(other)
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
-            return 0
-        if self.logmag == other.logmag:
-            return 0
-        mag_cmp = -1 if self.logmag < other.logmag else 1
-        return mag_cmp * self.sign
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
 
     def __repr__(self) -> str:
         if self.sign == 0:

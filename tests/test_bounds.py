@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from poientropy.bounds import (
+    RULE_GENERAL,
     ConditionCheck,
     ConditionViolated,
     EntropyBoundReport,
     MomentSummary,
     NoApplicableBound,
+    _certify,
     _log_b,
     best_independent_bound,
     entropy_bound_general,
@@ -25,6 +27,7 @@ from poientropy.chenstein import (
     ChenSteinCoefficients,
     TvBoundReport,
     coefficients_independent,
+    log_tv_upper_agg,
     tv_upper_agg,
 )
 from poientropy.exact import exact_distribution, pmf_entropy
@@ -203,6 +206,16 @@ class TestGeneralBound:
             entropy_bound_general(coeffs)
         lam_check = next(c for c in info.value.checks if c.name == "lambda")
         assert (lam_check.required, lam_check.actual, lam_check.satisfied) == (0.0, 0.5, False)
+
+    def test_lambda_check_refuses_a_tie_in_the_logs(self):
+        # ln(1e15 + 0.1) and ln(1e15) are the same double, but lam > m - 1.
+        coeffs = coefficients_independent(
+            MomentSummary(lam=1e15 + 0.1, sum_p_squared=1.0, m=10**15 + 1)
+        )
+        with pytest.raises(ConditionViolated, match="lambda"):
+            entropy_bound_general(coeffs)
+        below = MomentSummary(lam=1e15 - 1000.0, sum_p_squared=1.0, m=10**15 + 1)
+        assert entropy_bound_general(coefficients_independent(below)).theorem_id == "theorem4"
 
     def test_condition_error_carries_actual_values(self):
         try:
@@ -398,7 +411,14 @@ class TestEnclosure:
     def test_overflowed_epsilon_keeps_each_convention(self):
         # m - 1 = lam = 1e200 overflows b(lam), so every rule's eps is inf.
         moments = MomentSummary(lam=1e200, sum_p_squared=1e-10, m=10**200)
-        two = entropy_bound_general(coefficients_independent(moments))
+        coeffs = coefficients_independent(moments)
+        # Theorem 4 refuses this lam, whose log ties ln(m - 1), so its
+        # two-sided convention is run on the same numbers directly.
+        two = _certify(
+            ((RULE_GENERAL, math.log(2.0) + log_tv_upper_agg(coeffs), (), True),), (),
+            coeffs.lam.to_float(), coeffs.lam.logmag, coeffs.log_m_minus_1,
+            lambda: coeffs.log_m_plus_2, 1e-9, ConditionViolated,
+        )
         one = entropy_bound_independent(moments)
         h = two.h_poisson.nats
         assert two.epsilon == one.epsilon == math.inf

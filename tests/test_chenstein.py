@@ -148,12 +148,12 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="exactly one"):
             ChenSteinCoefficients(
                 b1=LogScalar.zero(), b2=LogScalar.zero(), b3=LogScalar.zero(),
-                lam=LogScalar.one(), m=4, log2_m=2.0,
+                lam=LogScalar.from_log(0.0), m=4, log2_m=2.0,
             )
         with pytest.raises(ValueError, match="non-negative"):
             ChenSteinCoefficients(
                 b1=LogScalar.from_float(-1.0), b2=LogScalar.zero(),
-                b3=LogScalar.zero(), lam=LogScalar.one(), m=4,
+                b3=LogScalar.zero(), lam=LogScalar.from_log(0.0), m=4,
             )
 
 
@@ -310,7 +310,7 @@ class TestAggBound:
     def test_b3_only_system(self):
         coeffs = ChenSteinCoefficients(
             b1=LogScalar.zero(), b2=LogScalar.zero(),
-            b3=LogScalar.from_float(0.1), lam=LogScalar.one(), m=10,
+            b3=LogScalar.from_float(0.1), lam=LogScalar.from_log(0.0), m=10,
         )
         assert tv_upper_agg(coeffs) == pytest.approx(0.1, rel=1e-12)
 
@@ -437,6 +437,29 @@ class TestSpecValidation:
               "pair_expectations": [[0, 1.2, 0.01]], "b3": "zero"}, "non-integer indices"),
             ({"m": 3, "marginals": [0.1] * 3, "neighborhoods": [[0, 1], [0, 1], [2]],
               "pair_expectations": [[False, True, 0.01]], "b3": "zero"}, "non-integer indices"),
+            # NaN is not an integer, an infinity is out of range; a pair
+            # index is tested for its range first.
+            *[
+                ({"m": 3, "marginals": [0.1] * 3, "neighborhoods": [[0], [1, bad], [2]],
+                  "pair_expectations": [], "b3": "zero"}, f"^neighbourhood B_1 has {why} indices$")
+                for bad, why in [
+                    (math.nan, "non-integer"), (math.inf, "out-of-range"),
+                    (-math.inf, "out-of-range"), (3.0, "out-of-range"),
+                    (True, "non-integer"), (False, "non-integer"),
+                ]
+            ],
+            *[
+                ({"m": 3, "marginals": [0.1] * 3, "neighborhoods": [[0, 1], [0, 1], [2]],
+                  "pair_expectations": [[0, bad, 0.01]], "b3": "zero"}, f"^pair expectation {why}$")
+                for bad, why in [
+                    (math.nan, r"\(0,nan\) has out-of-range indices"),
+                    (math.inf, r"\(0,inf\) has out-of-range indices"),
+                    (-math.inf, r"\(0,-inf\) has out-of-range indices"),
+                    (3.0, r"\(0,3\) has out-of-range indices"),
+                    (True, r"\[0, True, 0.01\] has non-integer indices"),
+                    (False, r"\[0, False, 0.01\] has non-integer indices"),
+                ]
+            ],
         ],
     )
     def test_malformed_documents_raise_value_error(self, doc, field):

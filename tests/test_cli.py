@@ -218,6 +218,16 @@ class TestEntropyBoundCommand:
         assert code == 3
         assert "lambda <= 0 violated" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("rule", ["theorem4", "corollary"])
+    def test_lambda_just_above_m_minus_1_fails_the_lambda_hypothesis(self, capsys, rule):
+        code, out, _ = run_cli(
+            capsys, "entropy-bound", "--independent", "--lambda", "1000000000000000.1",
+            "--sum-p2", "1", "--m", "1000000000000001", "--rule", rule, "--format", "machine",
+        )
+        assert code == 3
+        lam_check = next(c for c in json.loads(out)["conditions"] if c["name"] == "lambda")
+        assert lam_check["satisfied"] is False
+
     def test_single_index_spec_fails_the_lambda_hypothesis(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(

@@ -81,9 +81,14 @@ class TestLog1mexp:
         assert math.exp(value) + math.exp(-x) == pytest.approx(1.0, abs=1e-12)
 
 
+def _signed(logmag, sign):
+    scalar = LogScalar.from_log(logmag)
+    return scalar if sign > 0 else -scalar
+
+
 def _scalars(min_log=-500.0, max_log=500.0):
     return st.builds(
-        LogScalar.from_log,
+        _signed,
         st.floats(min_value=min_log, max_value=max_log),
         st.sampled_from([-1, 1]),
     ) | st.just(LogScalar.zero())
@@ -128,18 +133,12 @@ class TestLogScalar:
 
     def test_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            LogScalar.one() / LogScalar.zero()
+            LogScalar.from_log(0.0) / LogScalar.zero()
 
     def test_subtraction_through_signs(self):
         a = LogScalar.from_float(3.0)
         b = LogScalar.from_float(10.0)
         assert (a - b).to_float() == pytest.approx(-7.0, rel=1e-12)
-
-    def test_ordering(self):
-        values = [-2.0, -1e-30, 0.0, 1e-30, 5.0]
-        scalars = [LogScalar.from_float(v) for v in values]
-        assert sorted(scalars) == scalars
-        assert LogScalar.from_float(-1.0) < LogScalar.zero() < LogScalar.one()
 
     @given(_scalars(), _scalars())
     def test_addition_commutes_exactly(self, a, b):
@@ -180,7 +179,6 @@ class TestLogScalarValueContract:
             "from_log": LogScalar.from_log(-700.0),
             "from_float": three,
             "zero": LogScalar.zero(),
-            "one": LogScalar.one(),
         }
 
     @pytest.mark.parametrize("field", ["sign", "logmag"])
@@ -198,7 +196,6 @@ class TestLogScalarValueContract:
             (LogScalar(-1, math.log(3.0)), -three),
             (LogScalar(0, -math.inf), three - three),
             (LogScalar(0, -math.inf), LogScalar.zero()),
-            (LogScalar(1, 0.0), LogScalar.one()),
         ]
         for built, computed in pairs:
             assert built == computed
