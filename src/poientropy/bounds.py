@@ -103,7 +103,9 @@ class _FailedChecks(ValueError):
     """Base of the refusals: keeps ``checks`` and lists the failed ones.
 
     ``args`` is ``(checks,)``, so a refusal pickles and copies; the message
-    is formatted only when it is read.
+    is formatted only when it is read.  A failed check whose actual value
+    does not exceed its requirement was refused by a rounding margin, and
+    its text says so.
     """
 
     headline = ""
@@ -114,7 +116,9 @@ class _FailedChecks(ValueError):
 
     def __str__(self) -> str:
         detail = "; ".join(
-            f"{c.name} <= {c.required:g} violated (actual {c.actual:g})"
+            f"{c.name} <= {c.required:g} "
+            + ("not certified within the rounding margin" if c.actual <= c.required else "violated")
+            + f" (actual {c.actual:g})"
             for c in self.checks
             if not c.satisfied
         )
@@ -298,9 +302,10 @@ def entropy_bound_general(
     # ln(m - 1) = ln 0 at m = 1, where the check lam <= m - 1 below refuses.
     log_lam, log_m1 = coeffs.lam.logmag, -math.inf if coeffs.m == 1 else coeffs.log_m_minus_1
     # ln lam and ln(m - 1) each carry up to an ulp of rounding, so nearly
-    # equal lam and m - 1 can share one log; the margin refuses such a tie
-    # and still certifies the exact tie ln 1 = 0.
-    margin = 2**-50 * (abs(log_lam) + abs(log_m1))
+    # equal lam and m - 1 can share one log.  Since ulp(x) <= 2**-52 |x|, the
+    # margin spans at least one ulp of each log: it refuses such a tie (and
+    # so every exact tie but ln 1 = 0) rather than certify lam > m - 1.
+    margin = 2**-52 * (abs(log_lam) + abs(log_m1))
     checks = (
         ConditionCheck("a(lambda)", 0.5, a_value, log_a <= _LN_HALF),
         ConditionCheck("lambda", _saturating_exp(log_m1), lam, log_lam <= log_m1 - margin),

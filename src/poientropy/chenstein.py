@@ -60,8 +60,8 @@ _LN2 = math.log(2.0)
 class DependencySpec:
     """Marginals, neighbourhoods and pair moments for a dependent system.
 
-    ``neighborhoods`` gives B_a for each index a, as a list of index lists
-    or a map keyed by a (an int or its string).  ``pair_expectations``
+    ``marginals`` gives p_a and ``neighborhoods`` B_a for each index a, each
+    as a list or a map keyed by a (an int or its string).  ``pair_expectations``
     gives p_ab = E[X_a X_b] for ordered index pairs (a, b) with
     b in B_a \\ {a}, either as a mapping
     {(a, b): p_ab} or as [a, b, p_ab] triples; since that moment is
@@ -89,7 +89,7 @@ class DependencySpec:
 
     def __init__(self, m, marginals, neighborhoods, pair_expectations, b3_terms):
         m = _index_set_size(m)
-        p = _float_array(marginals, "marginals")
+        p = _float_array(_indexed_field(marginals, m, "marginals"), "marginals")
         if p.size != m:
             raise ValueError(f"expected {m} marginals, got {p.size}")
         bad = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))
@@ -170,7 +170,7 @@ def _neighbourhood_csr(neighborhoods, m: int) -> tuple:
         raise ValueError("each neighbourhood must be a list of integer indices") from None
 
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    a = _first_non_integral(flat, owner, rows)  # an infinity is out of range below
+    a = _first_non_integral(flat, owner, rows.__getitem__)  # an infinity is out of range below
     if a is not None:
         raise ValueError(f"neighbourhood B_{a} has non-integer indices")
     has_self = np.zeros(m, dtype=bool)
@@ -190,21 +190,21 @@ def _neighbourhood_csr(neighborhoods, m: int) -> tuple:
     return indptr, flat
 
 
-def _first_non_integral(values: np.ndarray, owner: np.ndarray, groups, width=None):
+def _first_non_integral(values: np.ndarray, owner: np.ndarray, raw_group):
     """The first group holding an index that is not an integer, or None.
 
     ``values`` are the indices read as floats, ``owner`` the non-decreasing
-    group of each, and the first ``width`` items of ``groups[g]`` (all of
-    them when None) the raw indices of group g.  A fraction or NaN shows in
-    the floats; a bool reads as 0 or 1, so only the groups holding 0 or 1
-    ahead of the first fraction are searched for one.
+    group of each, and ``raw_group(g)`` the raw indices of group g.  A
+    fraction or NaN shows in the floats; a bool reads as 0 or 1, so only the
+    groups holding 0 or 1 ahead of the first fraction are searched for one.
     """
     fractional = owner[np.trunc(values) != values][:1]
     low = owner[(values == 0.0) | (values == 1.0)]
+    low = low[_first_of_runs(low)]
     if fractional.size:
         low = low[low < fractional[0]]
     for g in low.tolist():
-        if bool in set(map(type, itertools.islice(groups[g], width))):
+        if bool in set(map(type, raw_group(g))):
             return g
     return int(fractional[0]) if fractional.size else None
 
@@ -255,7 +255,10 @@ def _pair_moments(pairs, p: np.ndarray, indptr: np.ndarray, indices: np.ndarray)
         raise ValueError(
             f"pair expectation ({a_raw[i]:g},{b_raw[i]:g}) has out-of-range indices"
         )
-    i = _first_non_integral(table[:, :2].ravel(), np.arange(2 * len(table)) // 2, entries, 2)
+    i = _first_non_integral(
+        table[:, :2].ravel(), np.repeat(np.arange(len(table)), 2),
+        lambda i: itertools.islice(entries[i], 2),
+    )
     if i is not None:
         raise ValueError(f"pair expectation {entries[i]} has non-integer indices")
     a, b = a_raw.astype(np.int64), b_raw.astype(np.int64)
@@ -311,14 +314,10 @@ def dependency_spec_from_dict(doc: Mapping) -> DependencySpec:
     if not isinstance(doc, Mapping):
         raise ValueError("dependency spec document must be a JSON object")
     try:
-        m = _index_set_size(doc["m"])
-        marginals = _indexed_field(doc["marginals"], m, "marginals")
-        neighborhoods = doc["neighborhoods"]
-        triples = doc["pair_expectations"]
-        b3 = doc["b3"]
+        fields = [doc[k] for k in ("m", "marginals", "neighborhoods", "pair_expectations", "b3")]
     except KeyError as exc:
         raise ValueError(f"dependency spec document missing field {exc}") from None
-    return DependencySpec(m, marginals, neighborhoods, triples, b3)
+    return DependencySpec(*fields)
 
 
 def _indexed_field(raw, m: int, name: str):

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from poientropy.bounds import (
-    RULE_GENERAL,
     ConditionCheck,
     ConditionViolated,
     EntropyBoundReport,
     MomentSummary,
     NoApplicableBound,
-    _certify,
     _log_b,
     best_independent_bound,
     entropy_bound_general,
@@ -27,7 +25,6 @@ from poientropy.chenstein import (
     ChenSteinCoefficients,
     TvBoundReport,
     coefficients_independent,
-    log_tv_upper_agg,
     tv_upper_agg,
 )
 from poientropy.exact import exact_distribution, pmf_entropy
@@ -212,7 +209,7 @@ class TestGeneralBound:
         coeffs = coefficients_independent(
             MomentSummary(lam=1e15 + 0.1, sum_p_squared=1.0, m=10**15 + 1)
         )
-        with pytest.raises(ConditionViolated, match="lambda"):
+        with pytest.raises(ConditionViolated, match="lambda <= 1e[+]15 not certified within"):
             entropy_bound_general(coeffs)
         below = MomentSummary(lam=1e15 - 1000.0, sum_p_squared=1.0, m=10**15 + 1)
         assert entropy_bound_general(coefficients_independent(below)).theorem_id == "theorem4"
@@ -409,16 +406,11 @@ class TestBestIndependentBound:
 
 class TestEnclosure:
     def test_overflowed_epsilon_keeps_each_convention(self):
-        # m - 1 = lam = 1e200 overflows b(lam), so every rule's eps is inf.
-        moments = MomentSummary(lam=1e200, sum_p_squared=1e-10, m=10**200)
-        coeffs = coefficients_independent(moments)
-        # Theorem 4 refuses this lam, whose log ties ln(m - 1), so its
-        # two-sided convention is run on the same numbers directly.
-        two = _certify(
-            ((RULE_GENERAL, math.log(2.0) + log_tv_upper_agg(coeffs), (), True),), (),
-            coeffs.lam.to_float(), coeffs.lam.logmag, coeffs.log_m_minus_1,
-            lambda: coeffs.log_m_plus_2, 1e-9, ConditionViolated,
-        )
+        # m - 1 = lam (1 + 1e-10) at lam = 1e200: b's exponent
+        # lam + (m-1)(ln((m-1)/lam) - 1) rounds to 0, so b(lam) ~ lam**2
+        # overflows and every rule's eps is inf.
+        moments = MomentSummary(lam=1e200, sum_p_squared=1e-10, m=10**200 + 10**190)
+        two = entropy_bound_general(coefficients_independent(moments))
         one = entropy_bound_independent(moments)
         h = two.h_poisson.nats
         assert two.epsilon == one.epsilon == math.inf

@@ -90,6 +90,21 @@ class TestDependencySpec:
         coeffs = coefficients_from_spec(spec)
         assert coeffs.b2.to_float() == pytest.approx(0.2, rel=1e-12)
 
+    def test_python_index_maps_read_as_documents_do(self):
+        listed = DependencySpec(2, [0.1, 0.2], [[0, 1], [0, 1]], [[0, 1, 0.05]], "zero")
+        mapped = DependencySpec(
+            2, {1: 0.2, "0": 0.1}, {"1": [0, 1], 0: [0, 1]}, [[0, 1, 0.05]], "zero"
+        )
+        for field in ("marginals", "indptr", "indices", "pair_moments"):
+            assert getattr(mapped, field).tobytes() == getattr(listed, field).tobytes()
+        with pytest.raises(ValueError, match="^marginals is missing index 1$"):
+            DependencySpec(2, {0: 0.1}, [[0], [1]], [], "zero")
+        with pytest.raises(ValueError, match="^marginals must be a list or an index map$"):
+            DependencySpec(1, 0.5, [[0]], [], "zero")
+        # Only the two indices of a triple are tested for bools, not its value.
+        with pytest.raises(ValueError, match=r"^p_\(0,1\)=1.0 must lie in"):
+            DependencySpec(2, [0.1, 0.2], [[0, 1], [0, 1]], [[0, 1, True]], "zero")
+
     def test_from_dict_missing_field(self):
         with pytest.raises(ValueError, match="missing field"):
             dependency_spec_from_dict({"m": 1})
