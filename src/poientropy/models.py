@@ -26,7 +26,9 @@ eps = 1.04 nats, (14, 13) with 0.420, (14, 12) with 2.70 and (16, 15) with
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,12 +69,13 @@ _MC_CHUNK = 4096
 
 # Smallest n at which a second simulating thread pays for handing over the
 # GIL at every numpy call: on a 2-vCPU host one 8192-replicate call at n = 9
-# takes 5-6 ms on one thread and 7-8 ms on two, at n = 12 80-98 and 51-60 ms.
+# takes about 3.0 ms on one thread and 3.7 ms on two, at n = 10 6.0 and 4.8
+# ms, at n = 11 14.7 and 9.7 ms.
 _MC_PARALLEL_MIN_N = 10
 
-# Each simulating thread holds (n.bit_length() + 2) 2^n scratch words per 64
-# replicates (outdegree bit-planes, carry and spill: 224 MiB at n = 16) and
-# one dimension's 2^(n-1) coin words (16 MiB).  One n = 16 chunk peaks at
+# Each simulating thread holds _mc_adders(n)[2] scratch rows of 2^n words per
+# 64 replicates (the outdegree counter's planes: 7 rows, 224 MiB, at n = 16)
+# and one dimension's 2^(n-1) coin words (16 MiB).  One n = 16 chunk peaks at
 # 0.29 GB of RSS and takes about a second; n = 17 would double both.
 MC_MAX_DIMENSION = 16
 
@@ -162,11 +165,48 @@ class MonteCarloResult:
     note: str = field(default="", compare=False)
 
 
+@functools.lru_cache(maxsize=None)
+def _mc_adders(n: int) -> tuple:
+    """Carry-save schedule of the simulator's outdegree counter at dimension n.
+
+    Returns (steps, bits, rows).  Every dimension's coin plane joins column 0
+    of a column-wise sum.  A column that reaches three planes is full-added
+    in place: the sum stays in the column, the carry joins the next one and
+    one row is freed.  After the last dimension a column left with two
+    planes is half-added.  Column j then holds bit j of every outdegree.
+    ``steps[d]`` is the scratch row that takes dimension d's plane and the
+    adders that follow it, each a tuple of rows (carry, ..., sum): three for
+    a full adder, two for a half adder.  ``bits[j]`` is the row of bit j and
+    ``rows`` the most rows held at once.
+    """
+    columns, free, rows, steps = [[]], [], 0, []
+    for d in range(n):
+        if free:
+            row = free.pop()
+        else:
+            row, rows = rows, rows + 1
+        columns[0].append(row)
+        adders = []
+        for j, column in enumerate(columns):
+            if len(column) == 3 or (d == n - 1 and len(column) == 2):
+                adders.append(tuple(column))
+                if len(column) == 3:
+                    free.append(column[1])
+                if j + 1 == len(columns):
+                    columns.append([])
+                columns[j + 1].append(column[0])
+                columns[j] = [column[-1]]
+        steps.append((row, tuple(adders)))
+    return tuple(steps), tuple(column[0] for column in columns), rows
+
+
 def _mc_scratch(n: int, lanes: int) -> np.ndarray:
-    # One worker's planes, carry and spill for chunks of up to 64 * lanes
-    # replicates, as rows of (vertex, lane) words; a chunk with fewer lanes
-    # uses the leading words of each row.
-    return np.empty((n.bit_length() + 2, (1 << n) * lanes), dtype=np.uint64)
+    # One worker's outdegree planes for chunks of up to 64 * lanes replicates,
+    # as rows of (vertex, lane) words; a chunk with fewer lanes uses the
+    # leading words of each row.  The counter holds 1, 2, 3, 3, 4, 4, 5, 5, 5,
+    # 5, 6, 6, 6, 6, 7, 7 rows at n = 1..16.  At n = 15 an order held to 6
+    # rows would need 62 or more adder passes instead of 55.
+    return np.empty((_mc_adders(n)[2], (1 << n) * lanes), dtype=np.uint64)
 
 
 def _mc_chunk_counts(n, k, chunk_size, seed_seq, scratch):
@@ -175,13 +215,11 @@ def _mc_chunk_counts(n, k, chunk_size, seed_seq, scratch):
     rng = np.random.default_rng(seed_seq)
     size = 1 << n
     lanes = -(-chunk_size // 64)
-    # Outdegree of every vertex as n.bit_length() bit-planes, least significant
-    # first, then two words per (vertex, lane) for the carry.  All of them live
-    # in the worker's scratch, so no dimension and no chunk maps fresh pages
-    # (they cost more than the word operations here).
+    # The outdegree planes live in the worker's scratch, so no dimension and
+    # no chunk maps fresh pages (they cost more than the word operations here).
     words = scratch[:, : size * lanes].reshape(-1, size, lanes)
-    planes, carry, spill = words[:-2], words[-2], words[-1]
-    for d in range(n):
+    steps, bit_rows, _ = _mc_adders(n)
+    for d, (row, adders) in enumerate(steps):
         # Raw 64-bit generator outputs (the words rng.bytes would give, read
         # as little-endian uint64): one fair coin per bit, one word per edge
         # and lane.  Drawn a dimension at a time, they are the words of one
@@ -192,28 +230,35 @@ def _mc_chunk_counts(n, k, chunk_size, seed_seq, scratch):
         )
         # Orientation bit XOR endpoint bit = "points outward from this vertex":
         # the coin where bit d of the vertex is 0, its complement where it is 1.
-        halves = carry.reshape(size >> (d + 1), 2, 1 << d, lanes)
+        halves = words[row].reshape(size >> (d + 1), 2, 1 << d, lanes)
         np.copyto(halves[:, 0], edges)
         np.invert(edges, out=halves[:, 1])
-        # Ripple-carry add into the d.bit_length() planes that hold the
-        # outdegree over the first d dimensions; the plane that d + 1 first
-        # needs starts as the carry out of them.
-        live = d.bit_length()
-        for plane in planes[:live]:
-            np.bitwise_and(plane, carry, out=spill)
-            plane ^= carry
-            carry, spill = spill, carry
-        if (d + 1).bit_length() > live:
-            np.copyto(planes[live], carry)
+        # In-place adders that need no temporary: the carry ends in a, the
+        # sum in the last row.
+        for adder in adders:
+            if len(adder) == 3:
+                a, b, c = (words[r] for r in adder)
+                b ^= a
+                a ^= c
+                c ^= b
+                a |= b
+                a ^= c
+            else:
+                a, b = (words[r] for r in adder)
+                b ^= a
+                a |= b
+                a ^= b
     # A vertex matches when every outdegree bit equals the same bit of k.
-    for j, plane in enumerate(planes):
+    for j, row in enumerate(bit_rows):
         if not (k >> j) & 1:
-            np.invert(plane, out=plane)
-    np.bitwise_and.reduce(planes, axis=0, out=carry)
+            np.invert(words[row], out=words[row])
+    match = words[bit_rows[0]]
+    for row in bit_rows[1:]:
+        match &= words[row]
     # Count each replicate's matching vertices _COUNT_ROWS vertices at a time:
     # a block's unpacked bits stay small, and its uint8 sums cannot wrap.
     w = np.zeros(64 * lanes, dtype=np.int64)
-    match = carry.view(np.uint8)
+    match = match.view(np.uint8)
     for row in range(0, size, _COUNT_ROWS):
         bits = np.unpackbits(match[row : row + _COUNT_ROWS], axis=1, bitorder="little")
         w += np.add.reduce(bits, axis=0, dtype=np.uint8)
@@ -236,8 +281,9 @@ def hypercube_monte_carlo(
     chunk_index), so the result is bit-identical for any ``threads`` value;
     below n = ``_MC_PARALLEL_MIN_N`` one thread runs them all.  Within a
     chunk the simulation is bit-sliced: bit j of each uint64 word is
-    replicate j of its 64-replicate lane, and outdegrees are kept as
-    bit-planes updated by word-wide ripple-carry addition.
+    replicate j of its 64-replicate lane, and a word-wide carry-save counter
+    of in-place full adders sums the outdegrees into one bit-plane per bit.
+    At most one thread per CPU runs, since each holds its own scratch.
     Returns the empirical mean with its standard error, the empirical pmf,
     and the plug-in entropy with a jackknife standard error (plug-in bias is
     not quantified).  A refused argument raises an InputError naming it.
@@ -258,7 +304,10 @@ def hypercube_monte_carlo(
         raise InputError("threads", f"threads must be >= 1, got {threads}")
 
     n_chunks = -(-replicates // _MC_CHUNK)
-    workers = min(threads, n_chunks) if n >= _MC_PARALLEL_MIN_N else 1
+    # One worker per CPU at most: each holds its own scratch (224 MiB at n = 16).
+    workers = (
+        min(threads, n_chunks, os.cpu_count() or 1) if n >= _MC_PARALLEL_MIN_N else 1
+    )
 
     def tally(first):
         # Worker ``first`` runs chunks first, first + workers, ... in one

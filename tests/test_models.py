@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -201,8 +202,13 @@ class TestHypercubeMonteCarlo:
         mc = hypercube_monte_carlo(_MC_PARALLEL_MIN_N - 1, 3, 3 * 4096, 0, threads=2)
         assert int(mc.counts.sum()) == 3 * 4096
 
-    @pytest.mark.parametrize("n", [1, 3, 6, 10])
-    @pytest.mark.parametrize("chunk_size", [1, 100, 4096])
+    # Each n reduces its counter's columns in its own order, so every n up
+    # to 12 runs once.
+    @pytest.mark.parametrize(
+        "chunk_size,n",
+        sorted({(c, n) for c in (1, 100, 4096) for n in (1, 3, 6, 10)}
+               | {(100, n) for n in range(1, 13)}),
+    )
     def test_bit_sliced_chunk_matches_per_replicate_reference(self, n, chunk_size):
         scratch = _mc_scratch(n, 64)
         seq = np.random.SeedSequence(11, spawn_key=(n, chunk_size))
@@ -211,6 +217,43 @@ class TestHypercubeMonteCarlo:
             got = _mc_chunk_counts(n, k, chunk_size, seq, scratch)
             want = np.bincount((outdeg == k).sum(axis=0), minlength=(1 << n) + 1)
             assert np.array_equal(got, want)
+
+    def test_scratch_rows_per_dimension(self):
+        # The most planes the outdegree counter holds at once, n = 1..16; the
+        # n = 16 row count sets MC_MAX_DIMENSION's 224 MiB per worker.
+        rows = (1, 2, 3, 3, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7)
+        assert tuple(_mc_scratch(n, 1).shape[0] for n in range(1, 17)) == rows
+        assert 64 * _mc_scratch(16, 1).nbytes == 224 << 20
+
+    @pytest.mark.parametrize(
+        "cpus,pool_workers", [(3, [3]), (None, [])], ids=["3-cpus", "cpu-count-unknown"]
+    )
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, pool_workers):
+        # Every worker holds its own scratch, so workers beyond the CPUs only
+        # add memory.  The stand-in pool records its size and runs its tasks
+        # serially, starting no thread.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        n, replicates = _MC_PARALLEL_MIN_N, 4 * 4096
+        capped = hypercube_monte_carlo(n, 3, replicates, master_seed=5, threads=64)
+        assert sizes == pool_workers
+        serial = hypercube_monte_carlo(n, 3, replicates, master_seed=5, threads=1)
+        assert np.array_equal(capped.counts, serial.counts)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_reused_scratch_serves_a_short_last_chunk(self, threads):
